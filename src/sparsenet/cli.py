@@ -21,7 +21,7 @@ from .datasets import load_cifar10, load_mnist, split_validation, subtract_mean
 from .errors import CheckpointError, ConfigError, DataFormatError, NumericError
 from .memory import render_table, report, to_csv
 from .net import build_topology
-from .regularizers import RegSpec
+from .regularizers import weight_decay_spec
 from .protocols import (
     candidate_log_csv,
     candidate_log_from_csv,
@@ -223,11 +223,7 @@ def cmd_data_sweep(cfg: RunConfig, out_dir: Path, jobs: int) -> int:
     probe = build_topology(cfg.topology, seed=cfg.seed)
     validate_layer_names(cfg, _layer_names(probe))
     # dense regime ignores the layer blocks; sparse regime is exactly them
-    dense_specs = {
-        name: RegSpec(kind="l2_decay", strength=cfg.weight_decay)
-        if cfg.weight_decay > 0 else RegSpec()
-        for name in _layer_names(probe)
-    }
+    dense_specs = {name: weight_decay_spec(cfg.weight_decay) for name in _layer_names(probe)}
     sparse_specs = cfg.reg_specs(_layer_names(probe))
 
     def build_net(seed):

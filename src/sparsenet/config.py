@@ -1,7 +1,8 @@
 """Run configuration: a line-oriented key=value format with layer sections.
 
 Global keys come first; per-layer regularizer blocks follow under
-``[layer:NAME]`` headers. Parsing is fail-closed: unknown keys, duplicate
+``[layer:NAME]`` headers and parse straight into ``RegSpec``, which owns
+their validation. Parsing is fail-closed: unknown keys, duplicate
 keys, and malformed values are positioned errors, because a silently
 ignored typo in a regularizer name would invalidate an experiment.
 
@@ -9,9 +10,10 @@ parse -> serialize -> parse is the identity on RunConfig values.
 """
 
 from dataclasses import dataclass, field, fields
+from typing import get_args
 
 from .errors import ConfigError
-from .regularizers import REG_KINDS, RegSpec
+from .regularizers import RegSpec, weight_decay_spec
 from .training import TrainConfig
 
 DATASETS = ("mnist", "cifar10", "synthetic_mnist", "synthetic_cifar")
@@ -52,38 +54,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class LayerReg:
-    kind: str = "none"
-    lam: float = 0.0
-    t: int | None = None
-    period: int = 100
-    biases: bool = False
-    fixed_delta: bool = False
-    stages: tuple = ()
-
-    def to_spec(self) -> RegSpec:
-        return RegSpec(
-            kind=self.kind,
-            strength=self.lam,
-            t=self.t,
-            period=self.period,
-            apply_to_biases=self.biases,
-            fixed_delta=self.fixed_delta,
-            stages=self.stages,
-        )
-
-
+# layer key -> (RegSpec field, parser); the order is the serialized order
 _LAYER_KEYS = {
-    "kind": str,
-    "lambda": float,
-    "t": int,
-    "period": int,
-    "biases": _parse_bool,
-    "fixed_delta": _parse_bool,
-    "stages": _parse_stages,
+    "kind": ("kind", str),
+    "lambda": ("strength", float),
+    "t": ("t", int),
+    "period": ("period", int),
+    "biases": ("apply_to_biases", _parse_bool),
+    "fixed_delta": ("fixed_delta", _parse_bool),
+    "stages": ("stages", _parse_stages),
 }
-_LAYER_ATTR = {"lambda": "lam"}
 
 
 @dataclass
@@ -152,62 +132,32 @@ class RunConfig:
     def reg_specs(self, layer_names) -> dict:
         """Per-layer RegSpec map: explicit blocks win, otherwise a global
         l2 term when weight_decay is set."""
-        specs = {}
-        for name in layer_names:
-            if name in self.layers:
-                specs[name] = self.layers[name].to_spec()
-            elif self.weight_decay > 0:
-                specs[name] = RegSpec(kind="l2_decay", strength=self.weight_decay)
-            else:
-                specs[name] = RegSpec()
-        return specs
+        fallback = weight_decay_spec(self.weight_decay)
+        return {name: self.layers.get(name, fallback) for name in layer_names}
 
 
-_GLOBAL_KEYS = {
-    "dataset": str,
-    "topology": str,
-    "seed": int,
-    "out_dir": str,
-    "subtract_mean": _parse_bool,
-    "train_images": str,
-    "train_labels": str,
-    "test_images": str,
-    "test_labels": str,
+# the tuple fields; every other global key parses with its field's type
+_TUPLE_PARSERS = {
     "train_batches": _parse_paths,
     "test_batches": _parse_paths,
-    "synthetic_train_n": int,
-    "synthetic_test_n": int,
-    "synthetic_noise": float,
-    "train_limit": int,
-    "test_limit": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "lr_decay": float,
-    "lr_step": int,
-    "momentum": float,
-    "max_iterations": int,
-    "eval_interval": int,
-    "eval_max": int,
-    "weight_decay": float,
-    "checkpoint": str,
-    "init_checkpoint": str,
-    "checkpoint_encoding": str,
-    "target_nnz": int,
-    "candidate_iterations": int,
-    "retrain_iterations": int,
     "threshold_grid": _parse_floats,
-    "ensemble_size": int,
-    "budget": int,
-    "plan_log": str,
     "fractions": _parse_floats,
-    "validation_fraction": float,
 }
 
 
+def _global_parser(f):
+    if f.name in _TUPLE_PARSERS:
+        return _TUPLE_PARSERS[f.name]
+    kind = (get_args(f.type) or (f.type,))[0]  # X | None parses as X
+    return _parse_bool if kind is bool else kind
+
+
+_GLOBAL_KEYS = {f.name: _global_parser(f) for f in fields(RunConfig) if f.name != "layers"}
+
+
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
     section = None          # None = global scope, else layer name
-    seen = {None: set()}
+    values = {None: {}}     # section -> {field name: parsed value}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -219,32 +169,33 @@ def parse_config(text: str) -> RunConfig:
             section = line[len("[layer:") : -1]
             if not section:
                 raise ConfigError(f"line {lineno}: empty layer name")
-            if section in cfg.layers:
+            if section in values:
                 raise ConfigError(f"line {lineno}: duplicate layer section {section!r}")
-            cfg.layers[section] = LayerReg()
-            seen[section] = set()
+            values[section] = {}
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        if key in seen[section]:
-            where = f"layer {section!r}" if section else "global scope"
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in {where}")
-        seen[section].add(key)
-
-        table = _GLOBAL_KEYS if section is None else _LAYER_KEYS
-        if key not in table:
-            where = f"layer section {section!r}" if section else "global scope"
+        where = f"layer section {section!r}" if section else "global scope"
+        if section is None:
+            attr, parse = key, _GLOBAL_KEYS.get(key)
+        else:
+            attr, parse = _LAYER_KEYS.get(key, (key, None))
+        if parse is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
+        if attr in values[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in {where}")
         try:
-            parsed = table[key](value)
+            values[section][attr] = parse(value)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from e
-        if section is None:
-            setattr(cfg, key, parsed)
-        else:
-            setattr(cfg.layers[section], _LAYER_ATTR.get(key, key), parsed)
 
+    cfg = RunConfig(**values.pop(None))
+    for name, spec_fields in values.items():
+        try:
+            cfg.layers[name] = RegSpec(**spec_fields)
+        except ValueError as e:
+            raise ConfigError(f"layer {name!r}: {e}") from e
     _validate(cfg)
     return cfg
 
@@ -258,17 +209,6 @@ def _validate(cfg: RunConfig) -> None:
         )
     if not 0.0 < cfg.validation_fraction < 1.0:
         raise ConfigError("validation_fraction must be in (0, 1)")
-    for name, layer in cfg.layers.items():
-        if layer.kind not in REG_KINDS:
-            raise ConfigError(f"layer {name!r}: unknown kind {layer.kind!r}")
-        try:
-            layer.to_spec()
-        except ValueError as e:
-            raise ConfigError(f"layer {name!r}: {e}") from e
-        if layer.stages and [it for it, _ in layer.stages] != sorted(
-            {it for it, _ in layer.stages}
-        ):
-            raise ConfigError(f"layer {name!r}: stage iterations must be strictly increasing")
     try:
         cfg.to_train_config()
     except ValueError as e:
@@ -294,13 +234,12 @@ def serialize_config(cfg: RunConfig) -> str:
         if value is None or value == ():
             continue
         lines.append(f"{f.name} = {_fmt(value)}")
-    for name, layer in cfg.layers.items():
+    for name, spec in cfg.layers.items():
         lines.append("")
         lines.append(f"[layer:{name}]")
-        for lf in fields(LayerReg):
-            value = getattr(layer, lf.name)
+        for key, (attr, _) in _LAYER_KEYS.items():
+            value = getattr(spec, attr)
             if value is None or value == ():
                 continue
-            key = "lambda" if lf.name == "lam" else lf.name
             lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"

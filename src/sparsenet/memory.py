@@ -14,8 +14,6 @@ MB = 2**20 bytes.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 INDEX_BYTES = 4
 SINGLE_VALUE_BYTES = 4
 DOUBLE_VALUE_BYTES = 8
@@ -129,11 +127,8 @@ def report(net, value_bytes: int = SINGLE_VALUE_BYTES) -> MemoryReport:
     treated as one flat vector when costing the sparse formats, matching
     the checkpoint payload layout exactly.
     """
-    counts = []
-    for layer in net.param_layers():
-        n = layer.weights.size + layer.biases.size
-        nnz = int(np.count_nonzero(layer.weights)) + int(np.count_nonzero(layer.biases))
-        counts.append((layer.name, n, nnz))
+    nnz = net.layer_nnz()
+    counts = [(l.name, l.weights.size + l.biases.size, nnz[l.name]) for l in net.param_layers()]
     return report_from_counts(counts, value_bytes)
 
 

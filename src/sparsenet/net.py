@@ -44,11 +44,15 @@ class Network:
     def param_count(self) -> int:
         return sum(l.weights.size + l.biases.size for l in self.param_layers())
 
-    def nnz(self) -> int:
-        return sum(
-            int(np.count_nonzero(l.weights)) + int(np.count_nonzero(l.biases))
+    def layer_nnz(self) -> dict:
+        """{layer name: nonzero weights + nonzero biases}, in layer order."""
+        return {
+            l.name: int(np.count_nonzero(l.weights)) + int(np.count_nonzero(l.biases))
             for l in self.param_layers()
-        )
+        }
+
+    def nnz(self) -> int:
+        return sum(self.layer_nnz().values())
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Run the batch through every layer; returns softmax probabilities."""

@@ -1,18 +1,25 @@
-"""Per-layer sparsity regularization updates.
+"""Per-layer sparsity regularization: the one module that knows each kind.
 
-Four update families share one dispatch point:
+Four update families, plus the baseline:
 
-* ``l2_decay``        -- classical weight decay; folded into the gradient by
-                         the trainer, so the post-step update is a no-op here.
+* ``l2_decay``        -- classical weight decay; its gradient 2*lambda*W is
+                         folded into the data gradient before the momentum
+                         step (``add_l2_gradient``), so there is no post-step.
 * ``l1_subgradient``  -- W -= delta * sign(W). Drives weights near zero but
                          overshoots, so it almost never lands exactly on zero.
 * ``l1_shrinkage``    -- soft thresholding, the l1 proximal operator. Weights
                          cannot change sign; small ones land exactly on zero.
 * ``l0_projection``   -- every `period` iterations, keep the t largest
                          magnitudes of the layer and zero the rest.
+* ``threshold_posthoc`` -- the baseline the projection is compared against: a
+                         one-shot magnitude cutoff applied after training,
+                         never during it.
 
-``threshold_posthoc`` is the baseline the projection is compared against: a
-one-shot magnitude cutoff applied after training, never during it.
+Every per-kind rule the trainer applies lives here, one function per moment
+of an iteration: ``add_l2_gradient`` before the step, ``apply_regularization``
+after it, ``add_regularization_term`` and ``within_l0_cap`` when a metrics
+row is logged, and ``finalize_regularization`` at completion. Each acts on
+the layer's weights, and on its biases too when ``apply_to_biases`` is set.
 """
 
 from dataclasses import dataclass, field
@@ -36,9 +43,9 @@ class RegSpec:
     ``strength`` is the objective weight (lambda); per-iteration l1 step
     sizes are delta = strength * lr unless ``fixed_delta`` is set, in which
     case delta = strength regardless of the learning-rate schedule.
-    ``stages`` optionally tightens an l0 cap over time: a sorted tuple of
-    (iteration, t) pairs, the last pair whose iteration has been reached
-    wins. Biases are left untouched unless ``apply_to_biases`` is set; they
+    ``stages`` optionally tightens an l0 cap over time: a tuple of
+    (iteration, t) pairs with strictly increasing iterations, the last pair
+    whose iteration has been reached wins. Biases are left untouched unless ``apply_to_biases`` is set; they
     contribute little to model size and sparsifying them destabilizes
     small nets.
     """
@@ -53,7 +60,7 @@ class RegSpec:
 
     def __post_init__(self):
         if self.kind not in REG_KINDS:
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
+            raise ValueError(f"unknown kind {self.kind!r}; known: {REG_KINDS}")
         if self.strength < 0:
             raise ValueError("regularizer strength must be >= 0")
         if self.kind == "l0_projection":
@@ -65,6 +72,9 @@ class RegSpec:
             raise ValueError("staged schedules only apply to l0_projection")
         if any(t < 1 for _, t in self.stages):
             raise ValueError("staged caps must be >= 1")
+        starts = [start for start, _ in self.stages]
+        if any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError("stage iterations must be strictly increasing")
 
     def effective_t(self, iteration: int) -> int:
         """Cap in force at `iteration` under the staged schedule."""
@@ -73,6 +83,12 @@ class RegSpec:
             if iteration >= start:
                 t = staged_t
         return t
+
+
+def weight_decay_spec(strength: float) -> RegSpec:
+    """The fallback for a layer without its own block: l2 decay at
+    `strength`, or no regularization when it is 0."""
+    return RegSpec(kind="l2_decay", strength=strength) if strength > 0 else RegSpec()
 
 
 def l1_subgradient_update(w: np.ndarray, delta: float) -> np.ndarray:
@@ -124,6 +140,21 @@ def regularization_term(w: np.ndarray, spec: RegSpec) -> float:
     return 0.0
 
 
+def _scope(spec: RegSpec):
+    """Names of the layer arrays `spec` acts on: weights, then biases if opted in."""
+    return ("weights", "biases") if spec.apply_to_biases else ("weights",)
+
+
+def add_l2_gradient(layer, spec: RegSpec, gw: np.ndarray, gb: np.ndarray):
+    """(gw, gb) plus the l2_decay gradient 2 * lambda * W over the spec's scope."""
+    if spec.kind != "l2_decay" or spec.strength <= 0:
+        return gw, gb
+    grads = {"weights": gw, "biases": gb}
+    for name in _scope(spec):
+        grads[name] = grads[name] + 2.0 * spec.strength * getattr(layer, name)
+    return grads["weights"], grads["biases"]
+
+
 def apply_regularization(layer, spec: RegSpec, lr: float, iteration: int) -> None:
     """Apply the post-gradient-step update for `spec` to `layer` in place.
 
@@ -132,25 +163,52 @@ def apply_regularization(layer, spec: RegSpec, lr: float, iteration: int) -> Non
     ``iteration % period == 0``. ``none``, ``l2_decay`` (handled in the
     gradient) and ``threshold_posthoc`` (applied after training) are no-ops.
     """
-    if spec.kind not in REG_KINDS:
-        raise ValueError(f"unknown regularizer kind {spec.kind!r}")
-    if spec.kind in ("none", "l2_decay", "threshold_posthoc"):
-        return
     if spec.kind == "l0_projection":
         if iteration % spec.period != 0:
             return
         t = spec.effective_t(iteration)
-        layer.weights = l0_project(layer.weights, t)
-        if spec.apply_to_biases:
-            layer.biases = l0_project(layer.biases, t)
+        for name in _scope(spec):
+            setattr(layer, name, l0_project(getattr(layer, name), t))
+        return
+    if spec.kind == "l1_subgradient":
+        update = l1_subgradient_update
+    elif spec.kind == "l1_shrinkage":
+        update = l1_shrinkage_update
+    else:
         return
     delta = spec.strength if spec.fixed_delta else spec.strength * lr
     if delta == 0.0:
         return
-    update = {
-        "l1_subgradient": l1_subgradient_update,
-        "l1_shrinkage": l1_shrinkage_update,
-    }[spec.kind]
-    layer.weights = update(layer.weights, delta)
-    if spec.apply_to_biases:
-        layer.biases = update(layer.biases, delta)
+    for name in _scope(spec):
+        setattr(layer, name, update(getattr(layer, name), delta))
+
+
+def add_regularization_term(total: float, layer, spec: RegSpec) -> float:
+    """`total` plus lambda * r over the spec's scope.
+
+    The terms are added onto the running total one array at a time, weights
+    then biases, so a sum over layers rounds the same way in every caller.
+    """
+    for name in _scope(spec):
+        total += regularization_term(getattr(layer, name), spec)
+    return total
+
+
+def within_l0_cap(layer, spec: RegSpec, iteration: int) -> bool:
+    """False only for an l0-projected layer whose weights exceed the cap in
+    force at `iteration` (momentum refills weights between projections)."""
+    return (spec.kind != "l0_projection"
+            or np.count_nonzero(layer.weights) <= spec.effective_t(iteration))
+
+
+def finalize_regularization(layer, spec: RegSpec, iteration: int) -> None:
+    """End-of-training step: re-project an l0 layer whose scope exceeds its
+    cap, and apply a post-hoc threshold over the spec's scope."""
+    if spec.kind == "l0_projection":
+        t = spec.effective_t(iteration)
+        for name in _scope(spec):
+            if np.count_nonzero(getattr(layer, name)) > t:
+                setattr(layer, name, l0_project(getattr(layer, name), t))
+    elif spec.kind == "threshold_posthoc" and spec.strength > 0:
+        for name in _scope(spec):
+            setattr(layer, name, threshold(getattr(layer, name), spec.strength))

@@ -1,31 +1,10 @@
-"""Dense tensors and the lp-norm family.
+"""The lp-norm family over dense numpy arrays: l0 count, lp, l-infinity.
 
-Tensors are plain numpy arrays in row-major order, restricted to float32
-(training default) or float64 (gradient checks and oracle tests). They are
-value-like: nothing here mutates its inputs, and there is no broadcasting;
-elementwise ops require exactly matching shapes.
+Magnitudes are taken in float64 whatever the input dtype, and nothing here
+mutates its input.
 """
 
 import numpy as np
-
-from .errors import ShapeError
-
-SINGLE = np.float32
-DOUBLE = np.float64
-
-_ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def as_tensor(data, dtype=SINGLE) -> np.ndarray:
-    """Coerce `data` to a C-contiguous float32/float64 array."""
-    if np.dtype(dtype) not in _ALLOWED_DTYPES:
-        raise ValueError(f"unsupported tensor dtype {dtype!r}; use float32 or float64")
-    return np.ascontiguousarray(data, dtype=dtype)
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:
@@ -52,27 +31,3 @@ def linf_norm(x: np.ndarray) -> float:
     if x.size == 0:
         raise ValueError("linf_norm of an empty tensor is undefined")
     return float(np.max(np.abs(x, dtype=np.float64)))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(np.asarray(a), np.asarray(b))
-    return np.add(a, b)
-
-
-def scale(x: np.ndarray, c: float) -> np.ndarray:
-    return np.multiply(x, np.asarray(x).dtype.type(c))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(np.asarray(a), np.asarray(b))
-    return np.multiply(a, b)
-
-
-def sign(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = 0 (a valid l1 subgradient at 0)."""
-    return np.sign(x)
-
-
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} contains non-finite elements")

@@ -3,7 +3,9 @@
 Ordering within one iteration follows the proximal-gradient pattern:
 velocity/gradient step first, then the layer's regularization update
 (l1 step or periodic l0 projection). l2 decay is classical weight decay,
-folded into the gradient before the velocity update instead.
+folded into the gradient before the velocity update instead. What each
+regularizer kind does at each of these points is decided in
+``regularizers.py``; this module only calls it, layer by layer.
 
 Metrics rows are appended at a fixed interval and exported as CSV:
 iteration, loss, reg_term, train_acc, test_acc, then one nnz column per
@@ -15,7 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .regularizers import RegSpec, apply_regularization, l0_project, regularization_term, threshold
+from .regularizers import (
+    RegSpec,
+    add_l2_gradient,
+    add_regularization_term,
+    apply_regularization,
+    finalize_regularization,
+    l0_project,  # noqa: F401  -- unused here, but perfbench/spans.py patches training.l0_project
+    within_l0_cap,
+)
 from .seeding import rng_for
 
 
@@ -116,48 +126,6 @@ def _normalized_specs(net, reg_specs) -> dict:
     return specs
 
 
-def _reg_term_total(net, specs) -> float:
-    total = 0.0
-    for layer in net.param_layers():
-        spec = specs[layer.name]
-        total += regularization_term(layer.weights, spec)
-        if spec.apply_to_biases:
-            total += regularization_term(layer.biases, spec)
-    return total
-
-
-def _layer_nnz(net) -> dict:
-    return {
-        l.name: int(np.count_nonzero(l.weights)) + int(np.count_nonzero(l.biases))
-        for l in net.param_layers()
-    }
-
-
-def _l0_feasible(net, specs, iteration: int) -> bool:
-    for layer in net.param_layers():
-        spec = specs[layer.name]
-        if spec.kind == "l0_projection":
-            if np.count_nonzero(layer.weights) > spec.effective_t(iteration):
-                return False
-    return True
-
-
-def _finalize_regularization(net, specs, iteration: int) -> None:
-    """Ensure l0 caps hold at completion and apply post-hoc thresholds."""
-    for layer in net.param_layers():
-        spec = specs[layer.name]
-        if spec.kind == "l0_projection":
-            t = spec.effective_t(iteration)
-            if np.count_nonzero(layer.weights) > t:
-                layer.weights = l0_project(layer.weights, t)
-            if spec.apply_to_biases and np.count_nonzero(layer.biases) > t:
-                layer.biases = l0_project(layer.biases, t)
-        elif spec.kind == "threshold_posthoc" and spec.strength > 0:
-            layer.weights = threshold(layer.weights, spec.strength)
-            if spec.apply_to_biases:
-                layer.biases = threshold(layer.biases, spec.strength)
-
-
 def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
     """Train `net` in place for cfg.max_iterations; returns (net, MetricsLog).
 
@@ -185,7 +153,10 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
 
     metrics = MetricsLog(layer_names=[l.name for l in param_layers])
 
-    def record(iteration, batch_loss, reg_term):
+    def record(iteration, batch_loss):
+        reg_term = 0.0
+        for layer in param_layers:
+            reg_term = add_regularization_term(reg_term, layer, specs[layer.name])
         train_acc = evaluate_accuracy(net, dataset, limit=cfg.eval_max, indices=train_eval_idx)
         test_acc = (
             evaluate_accuracy(net, test_data, limit=cfg.eval_max)
@@ -199,8 +170,8 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
                 reg_term=reg_term,
                 train_acc=train_acc,
                 test_acc=test_acc,
-                l0_feasible=_l0_feasible(net, specs, iteration),
-                layer_nnz=_layer_nnz(net),
+                l0_feasible=all(within_l0_cap(l, specs[l.name], iteration) for l in param_layers),
+                layer_nnz=net.layer_nnz(),
             )
         )
 
@@ -224,10 +195,7 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
             _check_finite(gw, f"gradient for {layer.name}", iteration)
             _check_finite(gb, f"bias gradient for {layer.name}", iteration)
             spec = specs[layer.name]
-            if spec.kind == "l2_decay" and spec.strength > 0:
-                gw = gw + 2.0 * spec.strength * layer.weights
-                if spec.apply_to_biases:
-                    gb = gb + 2.0 * spec.strength * layer.biases
+            gw, gb = add_l2_gradient(layer, spec, gw, gb)
             vw, vb = velocity[layer.name]
             sgd_update(layer.weights, gw, vw, lr, cfg.momentum)
             sgd_update(layer.biases, gb, vb, lr, cfg.momentum)
@@ -235,8 +203,9 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
 
         if iteration % cfg.eval_interval == 0 or iteration == cfg.max_iterations:
             if iteration == cfg.max_iterations:
-                _finalize_regularization(net, specs, iteration)
-            record(iteration, batch_loss, _reg_term_total(net, specs))
+                for layer in param_layers:
+                    finalize_regularization(layer, specs[layer.name], iteration)
+            record(iteration, batch_loss)
 
     return net, metrics
 

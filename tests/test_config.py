@@ -1,7 +1,6 @@
 import pytest
 
 from sparsenet.config import (
-    LayerReg,
     RunConfig,
     parse_config,
     serialize_config,
@@ -28,7 +27,7 @@ class TestParse:
         assert cfg.seed == 7
         assert cfg.max_iterations == 40
         assert set(cfg.layers) == {"fc1"}
-        spec = cfg.layers["fc1"].to_spec()
+        spec = cfg.layers["fc1"]
         assert spec.kind == "l0_projection" and spec.t == 500 and spec.period == 50
 
     def test_comments_and_blanks_ignored(self):
@@ -42,7 +41,7 @@ class TestParse:
     def test_duplicate_key_allowed_across_sections(self):
         text = MINIMAL + "\n[layer:fc2]\nkind = l1_shrinkage\nlambda = 0.01\n"
         cfg = parse_config(text)
-        assert cfg.layers["fc2"].lam == 0.01
+        assert cfg.layers["fc2"].strength == 0.01
 
     def test_unknown_global_key(self):
         with pytest.raises(ConfigError, match="unknown key 'learning_rat'"):
@@ -105,7 +104,7 @@ class TestRoundTrip:
         cfg2 = parse_config(serialize_config(cfg1))
         assert cfg1 == cfg2
         assert cfg2.threshold_grid == (0.0, 0.01, 0.1)
-        assert cfg2.layers["fc1"].biases is True
+        assert cfg2.layers["fc1"].apply_to_biases is True
 
     def test_defaults_roundtrip(self):
         cfg = RunConfig()
@@ -132,4 +131,4 @@ class TestValidation:
         assert specs["fc1"].kind == "l0_projection"
 
     def test_layer_reg_defaults(self):
-        assert LayerReg().to_spec().kind == "none"
+        assert parse_config("[layer:fc1]\n").layers["fc1"].kind == "none"

@@ -177,6 +177,11 @@ class TestRegSpec:
         with pytest.raises(ValueError):
             RegSpec(kind="l7_projection")
 
+    def test_stages_must_increase(self):
+        for stages in (((20, 50), (10, 25)), ((20, 50), (20, 25))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                RegSpec(kind="l0_projection", t=100, stages=stages)
+
     def test_staged_caps(self):
         spec = RegSpec(kind="l0_projection", t=100, stages=((10, 50), (20, 25)))
         assert spec.effective_t(5) == 100

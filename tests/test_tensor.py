@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsenet import tensor
-from sparsenet.errors import ShapeError
 
 
 class TestLpNorm:
@@ -87,44 +86,3 @@ class TestLinfNorm:
         approx = tensor.lp_norm(x, 64)
         exact = tensor.linf_norm(x)
         assert abs(approx - exact) / exact < 0.01
-
-
-class TestElementwise:
-    def test_sign_with_zero(self):
-        npt.assert_array_equal(
-            tensor.sign(np.array([-2.0, 0.0, 3.0])), np.array([-1.0, 0.0, 1.0])
-        )
-
-    def test_add_identity(self):
-        x = np.random.default_rng(1).standard_normal((2, 3))
-        npt.assert_array_equal(tensor.add(x, np.zeros_like(x)), x)
-
-    def test_scale_by_zero(self):
-        x = np.random.default_rng(2).standard_normal(5).astype(np.float32)
-        out = tensor.scale(x, 0.0)
-        npt.assert_array_equal(out, np.zeros_like(x))
-        assert out.dtype == np.float32
-
-    def test_hadamard(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([4.0, 0.0, -1.0])
-        npt.assert_array_equal(tensor.hadamard(a, b), np.array([4.0, 0.0, -3.0]))
-
-    def test_shape_mismatch_errors(self):
-        with pytest.raises(ShapeError):
-            tensor.add(np.zeros(3), np.zeros(4))
-        with pytest.raises(ShapeError):
-            tensor.hadamard(np.zeros((2, 2)), np.zeros(4))
-
-
-class TestAsTensor:
-    def test_dtypes(self):
-        assert tensor.as_tensor([1, 2]).dtype == np.float32
-        assert tensor.as_tensor([1, 2], dtype=tensor.DOUBLE).dtype == np.float64
-
-    def test_rejects_other_dtypes(self):
-        with pytest.raises(ValueError):
-            tensor.as_tensor([1, 2], dtype=np.int32)
-
-    def test_row_major(self):
-        assert tensor.as_tensor([[1, 2], [3, 4]]).flags["C_CONTIGUOUS"]

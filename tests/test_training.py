@@ -8,7 +8,7 @@ from conftest import small_data, small_net
 from sparsenet.checkpoint import load_checkpoint, save_checkpoint
 from sparsenet.datasets import Dataset
 from sparsenet.errors import NumericError
-from sparsenet.regularizers import RegSpec
+from sparsenet.regularizers import RegSpec, threshold
 from sparsenet.training import (
     TrainConfig,
     evaluate_accuracy,
@@ -178,10 +178,15 @@ class TestTrainLoop:
         train_d, _ = small_pair
         net = small_net(seed=12)
         cfg = TrainConfig(batch_size=20, learning_rate=0.2, max_iterations=50,
-                          eval_interval=50, seed=3)
+                          eval_interval=20, seed=3)
         specs = {"fc1": RegSpec(kind="l0_projection", t=15, period=30)}
-        net, _ = train(net, train_d, cfg, reg_specs=specs)
+        net, metrics = train(net, train_d, cfg, reg_specs=specs)
         assert np.count_nonzero(net.layer("fc1").weights) <= 15
+        # iteration 20 precedes the first projection and momentum refills
+        # the zeros by 40; only the completion row is feasible again
+        assert [(r.iteration, r.l0_feasible) for r in metrics.rows] == [
+            (20, False), (40, False), (50, True)
+        ]
 
     def test_staged_tightening(self, small_pair):
         train_d, _ = small_pair
@@ -247,17 +252,46 @@ class TestTrainLoop:
 
     def test_reg_term_value(self, small_pair):
         train_d, _ = small_pair
-        net = small_net(seed=17)
         lam = 0.01
         cfg = TrainConfig(batch_size=20, learning_rate=0.1, max_iterations=10,
                           eval_interval=10, seed=9)
-        specs = {n.name: RegSpec(kind="l2_decay", strength=lam) for n in net.param_layers()}
-        net, metrics = train(net, train_d, cfg, reg_specs=specs)
-        expected = lam * sum(
-            float(np.sum(np.square(l.weights, dtype=np.float64)))
-            for l in net.param_layers()
-        )
-        assert metrics.rows[-1].reg_term == pytest.approx(expected, rel=1e-6)
+        penalty = {
+            "l2_decay": lambda a: float(np.sum(np.square(a, dtype=np.float64))),
+            "l1_subgradient": lambda a: float(np.sum(np.abs(a, dtype=np.float64))),
+            "l1_shrinkage": lambda a: float(np.sum(np.abs(a, dtype=np.float64))),
+        }
+        for (kind, r), biases in itertools.product(penalty.items(), (False, True)):
+            net = small_net(seed=17)
+            spec = RegSpec(kind=kind, strength=lam, apply_to_biases=biases)
+            net, metrics = train(net, train_d, cfg,
+                                 reg_specs={n.name: spec for n in net.param_layers()})
+            expected = lam * sum(
+                r(l.weights) + (r(l.biases) if biases else 0.0) for l in net.param_layers()
+            )
+            assert metrics.rows[-1].reg_term == pytest.approx(expected, rel=1e-6), (kind, biases)
+
+    def test_threshold_posthoc_at_completion(self, small_pair):
+        # the cutoff is a no-op during training, so the thresholded run is the
+        # unregularized run with |w| < lambda zeroed at the end
+        train_d, _ = small_pair
+        cfg = TrainConfig(batch_size=20, learning_rate=0.2, max_iterations=30,
+                          eval_interval=10, seed=11)
+        lam = 0.5
+        plain, _ = train(small_net(seed=19), train_d, cfg)
+        specs = {
+            "conv1": RegSpec(kind="threshold_posthoc", strength=lam, apply_to_biases=True),
+            "fc1": RegSpec(kind="threshold_posthoc", strength=lam),
+        }
+        cut, _ = train(small_net(seed=19), train_d, cfg, reg_specs=specs)
+        for name in ("conv1", "fc1"):
+            w = cut.layer(name).weights
+            assert not np.any((w != 0) & (np.abs(w) < lam))
+            npt.assert_array_equal(w, threshold(plain.layer(name).weights, lam))
+        npt.assert_array_equal(cut.layer("conv1").biases,
+                               threshold(plain.layer("conv1").biases, lam))
+        kept = cut.layer("fc1").biases
+        npt.assert_array_equal(kept, plain.layer("fc1").biases)
+        assert np.any((kept != 0) & (np.abs(kept) < lam))
 
 
 def replace_cfg(cfg, **kw):
