@@ -53,8 +53,8 @@ def cli(*args):
 
 
 cli("train", "--config", cfg_path, "--out", work / "run")
-# eval reads the checkpoint path from the config
-cfg_path.write_text(config + f"checkpoint = {work / 'run' / 'model.ckpt'}\n")
+# eval reads the checkpoint path from the config; global keys precede layer sections
+cfg_path.write_text(f"checkpoint = {work / 'run' / 'model.ckpt'}\n" + config)
 cli("eval", "--config", cfg_path, "--out", work / "eval")
 cli("memory-report", "--config", cfg_path, "--out", work / "mem", "--kb")
 

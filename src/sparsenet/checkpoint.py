@@ -26,12 +26,14 @@ import struct
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .errors import CheckpointError
-from .memory import format_bytes
+from .memory import FORMATS, best_format, format_bytes
+from .net import build_topology
 
 MAGIC = b"SPNC"
 VERSION = 1
-ENCODINGS = ("dense", "bitmask", "indexed")
+ENCODINGS = FORMATS
 _ENC_CODE = {name: i for i, name in enumerate(ENCODINGS)}
 
 
@@ -106,8 +108,9 @@ def checkpoint_overhead_bytes(net, encoding: str = "dense") -> int:
     return total
 
 
-def save_checkpoint(net, path, encoding: str = "dense") -> None:
-    """Write every parameterized layer of `net` under one encoding.
+def encode_checkpoint(net, encoding: str = "dense") -> bytes:
+    """The checkpoint bytes of every parameterized layer of `net` under one
+    encoding.
 
     ``encoding="best"`` picks the cheapest encoding per layer using the
     memory model.
@@ -123,17 +126,22 @@ def save_checkpoint(net, path, encoding: str = "dense") -> None:
         nnz = int(np.count_nonzero(flat))
         enc = encoding
         if enc == "best":
-            from .memory import best_format
-
             enc, _ = best_format(flat.size, nnz, value_bytes)
         payload = _encode_payload(flat, enc, value_bytes)
         expect = format_bytes(enc, flat.size, nnz, value_bytes)
-        assert len(payload) == expect, (len(payload), expect)
+        if len(payload) != expect:
+            raise CheckpointError(
+                f"{layer.name}: {enc} payload is {len(payload)} bytes, memory model says {expect}"
+            )
         blob.append(_layer_header(layer, enc))
         blob.append(struct.pack("<QQ", nnz, len(payload)))
         blob.append(payload)
-    with open(path, "wb") as f:
-        f.write(b"".join(blob))
+    return b"".join(blob)
+
+
+def save_checkpoint(net, path, encoding: str = "dense") -> None:
+    """Write `encode_checkpoint(net, encoding)` to `path` atomically."""
+    write_atomic(path, encode_checkpoint(net, encoding))
 
 
 class _Reader:
@@ -170,8 +178,6 @@ def load_checkpoint(path, net=None):
     (layer_count,) = r.unpack("<I", "layer count")
 
     if net is None:
-        from .net import build_topology
-
         dtype = np.float32 if value_bytes == 4 else np.float64
         net = build_topology(topology, dtype=dtype)
     layers = net.param_layers()

@@ -12,12 +12,13 @@ parse -> serialize -> parse is the identity on RunConfig values.
 from dataclasses import dataclass, field, fields
 from typing import get_args
 
+from . import checkpoint
 from .errors import ConfigError
 from .regularizers import RegSpec, weight_decay_spec
 from .training import TrainConfig
 
 DATASETS = ("mnist", "cifar10", "synthetic_mnist", "synthetic_cifar")
-ENCODINGS = ("dense", "bitmask", "indexed", "best")
+ENCODINGS = (*checkpoint.ENCODINGS, "best")
 
 
 def _parse_bool(s: str) -> bool:

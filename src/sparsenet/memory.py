@@ -14,6 +14,8 @@ MB = 2**20 bytes.
 
 from dataclasses import dataclass
 
+from .artifacts import csv_text
+
 INDEX_BYTES = 4
 SINGLE_VALUE_BYTES = 4
 DOUBLE_VALUE_BYTES = 8
@@ -182,14 +184,9 @@ def render_table(rep: MemoryReport, units: str = "bytes") -> str:
 
 def to_csv(rep: MemoryReport) -> str:
     """CSV rows in bytes, one line per layer plus a TOTAL line."""
-    lines = ["layer,params,nnz,bytes_dense,bytes_bitmask,bytes_indexed,best_format,best_bytes"]
-    for r in rep.layers:
-        lines.append(
-            f"{r.name},{r.param_count},{r.nnz},{r.bytes_dense},"
-            f"{r.bytes_bitmask},{r.bytes_indexed},{r.best_format},{r.best_bytes}"
-        )
-    lines.append(
-        f"TOTAL,{rep.total_params},{rep.total_nnz},{rep.total('dense')},"
-        f"{rep.total('bitmask')},{rep.total('indexed')},-,{rep.total_best_bytes}"
-    )
-    return "\n".join(lines) + "\n"
+    rows = [(r.name, r.param_count, r.nnz, r.bytes_dense, r.bytes_bitmask, r.bytes_indexed,
+             r.best_format, r.best_bytes) for r in rep.layers]
+    rows.append(("TOTAL", rep.total_params, rep.total_nnz, rep.total("dense"),
+                 rep.total("bitmask"), rep.total("indexed"), "-", rep.total_best_bytes))
+    return csv_text(["layer", "params", "nnz", "bytes_dense", "bytes_bitmask", "bytes_indexed",
+                     "best_format", "best_bytes"], rows)

@@ -93,12 +93,15 @@ class Network:
         ]
         return np.concatenate(chunks)
 
+    def clear_cache(self) -> None:
+        """Drop every layer's activation cache; backward() then needs a new forward()."""
+        for layer in (*self.layers, self.loss_layer):
+            layer.clear_cache()
+        self._forward_done = False
+
     def clone(self) -> "Network":
         """Deep copy of the network with activation caches dropped."""
-        for layer in self.layers:
-            layer.clear_cache()
-        self.loss_layer.clear_cache()
-        self._forward_done = False
+        self.clear_cache()
         return copy.deepcopy(self)
 
 

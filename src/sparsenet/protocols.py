@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import csv_text
 from .datasets import Dataset, bag_resample, subsample
+from .errors import DataFormatError
 from .memory import report
 from .regularizers import RegSpec, threshold
 from .training import TrainConfig, evaluate_accuracy, train
@@ -66,40 +68,45 @@ class CandidateRecord:
 
 
 def candidate_log_csv(records, layer_names) -> str:
-    header = ["round", "layer_reduced"]
-    header += [f"{name}_nnz" for name in layer_names]
-    header += ["total_nnz", "val_acc", "test_acc", "memory_bytes", "adopted"]
-    lines = [",".join(header)]
-    for r in records:
-        cells = [str(r.round), r.layer_reduced]
-        cells += [str(r.plan.caps[name]) for name in layer_names]
-        cells += [str(r.total_nnz), repr(r.val_acc), repr(r.test_acc),
-                  str(r.memory_bytes), str(int(r.adopted))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["round", "layer_reduced", *(f"{name}_nnz" for name in layer_names),
+         "total_nnz", "val_acc", "test_acc", "memory_bytes", "adopted"],
+        ((r.round, r.layer_reduced, *(r.plan.caps[name] for name in layer_names),
+          r.total_nnz, r.val_acc, r.test_acc, r.memory_bytes, r.adopted) for r in records),
+    )
 
 
 def candidate_log_from_csv(text: str):
-    """Parse a candidate-log CSV back into CandidateRecord objects."""
+    """Parse a candidate-log CSV back into CandidateRecord objects. An empty
+    log, a ragged row, or a missing or unparsable cell raises DataFormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DataFormatError("candidate log is empty")
     header = lines[0].split(",")
     layer_names = [h[: -len("_nnz")] for h in header if h.endswith("_nnz") and h != "total_nnz"]
     records = []
-    for ln in lines[1:]:
-        cells = dict(zip(header, ln.split(",")))
-        caps = {name: int(cells[f"{name}_nnz"]) for name in layer_names}
-        records.append(
-            CandidateRecord(
-                round=int(cells["round"]),
-                layer_reduced=cells["layer_reduced"],
-                plan=SparsityPlan(caps, provenance=f"log round {cells['round']}"),
-                total_nnz=int(cells["total_nnz"]),
-                val_acc=float(cells["val_acc"]),
-                test_acc=float(cells["test_acc"]),
-                memory_bytes=int(cells["memory_bytes"]),
-                adopted=cells["adopted"] == "1",
+    for i, ln in enumerate(lines[1:], start=1):
+        row = ln.split(",")
+        if len(row) != len(header):
+            raise DataFormatError(f"candidate log row {i}: {len(row)} cells, "
+                                  f"header has {len(header)}")
+        cells = dict(zip(header, row))
+        try:
+            caps = {name: int(cells[f"{name}_nnz"]) for name in layer_names}
+            records.append(
+                CandidateRecord(
+                    round=int(cells["round"]),
+                    layer_reduced=cells["layer_reduced"],
+                    plan=SparsityPlan(caps, provenance=f"log round {cells['round']}"),
+                    total_nnz=int(cells["total_nnz"]),
+                    val_acc=float(cells["val_acc"]),
+                    test_acc=float(cells["test_acc"]),
+                    memory_bytes=int(cells["memory_bytes"]),
+                    adopted=cells["adopted"] == "1",
+                )
             )
-        )
+        except (KeyError, ValueError) as e:
+            raise DataFormatError(f"candidate log row {i}: missing or bad cell {e}") from e
     return records
 
 
@@ -120,6 +127,7 @@ def _candidate_task(args):
     net, cfg, specs = args
     net, _ = train(net, _WORKER_DATA["train"], cfg, reg_specs=specs)
     val_acc = evaluate_accuracy(net, _WORKER_DATA["val"])
+    net.clear_cache()  # a pool pickles the result back; caches are most of its bytes
     return net, val_acc
 
 
@@ -196,10 +204,8 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
             )
         results = _run_tasks(task_args, train_data, val_data, jobs)
 
-        round_records = []
-        best_pos = 0
-        for pos, (name, cand_plan, (net, val_acc)) in enumerate(zip(reducible, plans, results)):
-            rec = CandidateRecord(
+        round_records = [
+            CandidateRecord(
                 round=round_no,
                 layer_reduced=name,
                 plan=cand_plan,
@@ -210,26 +216,21 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
                 memory_bytes=report(net).total_best_bytes,
                 adopted=False,
             )
-            round_records.append((rec, net))
-            # ties prefer the cut leaving the most parameters, then layer order
-            best_rec = round_records[best_pos][0]
-            key = (val_acc, cand_plan.caps[name], -pos)
-            best_key = (
-                best_rec.val_acc,
-                best_rec.plan.caps[best_rec.layer_reduced],
-                -best_pos,
-            )
-            if key > best_key:
-                best_pos = pos
-
-        chosen_rec, chosen_net = round_records[best_pos]
-        chosen_rec.adopted = True
-        incumbent = chosen_net
-        caps = dict(chosen_rec.plan.caps)
-        records.extend(rec for rec, _ in round_records)
+            for name, cand_plan, (net, val_acc) in zip(reducible, plans, results)
+        ]
+        # ties prefer the cut leaving the most parameters, then layer order
+        best = max(range(len(round_records)), key=lambda pos: (
+            round_records[pos].val_acc, plans[pos].caps[reducible[pos]], -pos))
+        round_records[best].adopted = True
+        incumbent = results[best][0]
+        caps = dict(plans[best].caps)
+        records.extend(round_records)
 
     final_plan = SparsityPlan(dict(caps), provenance=f"greedy round {round_no}")
     return incumbent, final_plan, records
+
+
+THRESHOLD_COMPARE_HEADER = ("delta", "total_nnz", "acc_threshold", "acc_retrained")
 
 
 def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset,
@@ -242,7 +243,8 @@ def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset
     and measure again. When a delta removes nothing the dense net already
     satisfies the plan and is reported unchanged on both branches.
 
-    Returns rows of (delta, total_nnz, acc_threshold, acc_retrained).
+    Returns rows of THRESHOLD_COMPARE_HEADER: (delta, total_nnz,
+    acc_threshold, acc_retrained).
     """
     deltas = list(deltas)
     if not deltas:
@@ -271,13 +273,6 @@ def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset
             acc_ret = evaluate_accuracy(rnet, test_data)
         rows.append((float(delta), int(total_nnz), float(acc_thr), float(acc_ret)))
     return rows
-
-
-def threshold_compare_csv(rows) -> str:
-    lines = ["delta,total_nnz,acc_threshold,acc_retrained"]
-    for delta, nnz, acc_thr, acc_ret in rows:
-        lines.append(f"{delta!r},{nnz},{acc_thr!r},{acc_ret!r}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -350,14 +345,17 @@ def ensemble_accuracy(ensemble: EnsembleModel, data: Dataset) -> float:
     return float(np.mean(ensemble_predict(ensemble, data.images) == data.labels))
 
 
+SWEEP_HEADER = ("fraction", "regime", "train_acc", "test_acc")
+
+
 def data_starvation_sweep(fractions, dense, sparse, train_data: Dataset,
                           test_data: Dataset, build_net, seed: int = 0):
     """Dense vs sparse training across shrinking training subsets.
 
     `dense` and `sparse` are (TrainConfig, reg_specs) pairs. For each
     fraction the same subsample feeds both regimes. Returns rows of
-    (fraction, regime, train_acc, test_acc) where train_acc is measured
-    on the subsample the run actually saw.
+    SWEEP_HEADER: (fraction, regime, train_acc, test_acc) where train_acc
+    is measured on the subsample the run actually saw.
     """
     rows = []
     for fi, fraction in enumerate(fractions):
@@ -377,10 +375,3 @@ def data_starvation_sweep(fractions, dense, sparse, train_data: Dataset,
                 )
             )
     return rows
-
-
-def sweep_csv(rows) -> str:
-    lines = ["fraction,regime,train_acc,test_acc"]
-    for fraction, regime, train_acc, test_acc in rows:
-        lines.append(f"{fraction!r},{regime},{train_acc!r},{test_acc!r}")
-    return "\n".join(lines) + "\n"

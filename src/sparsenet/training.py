@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import NumericError
 from .regularizers import (
     RegSpec,
@@ -89,15 +90,12 @@ class MetricsLog:
         self.rows.append(row)
 
     def to_csv(self) -> str:
-        header = ["iteration", "loss", "reg_term", "train_acc", "test_acc"]
-        header += [f"{name}_nnz" for name in self.layer_names]
-        lines = [",".join(header)]
-        for r in self.rows:
-            cells = [str(r.iteration), repr(r.loss), repr(r.reg_term),
-                     repr(r.train_acc), repr(r.test_acc)]
-            cells += [str(r.layer_nnz[name]) for name in self.layer_names]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ["iteration", "loss", "reg_term", "train_acc", "test_acc"]
+            + [f"{name}_nnz" for name in self.layer_names],
+            ((r.iteration, r.loss, r.reg_term, r.train_acc, r.test_acc,
+              *(r.layer_nnz[name] for name in self.layer_names)) for r in self.rows),
+        )
 
 
 def evaluate_accuracy(net, dataset, batch_size: int = 200, limit: int | None = None,

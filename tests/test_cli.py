@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sparsenet import cli
 from sparsenet.cli import EXIT_CONFIG, EXIT_IO, main
 from sparsenet.datasets import write_cifar_batch, write_idx_images, write_idx_labels
 from sparsenet.synthetic import as_uint8, make_synthetic_pair
@@ -19,6 +22,21 @@ eval_interval = 15
 eval_max = 120
 seed = 3
 """
+
+
+# the keys each command needs, so that a test's fault is the only one
+REQUIRED = {
+    "train": "",
+    "eval": "checkpoint = missing.ckpt\n",
+    "memory-report": "",
+    "sparsify-greedy": "target_nnz = 200000\n",
+    "threshold-compare": "threshold_grid = 0.02\n",
+    "ensemble": "plan_log = missing.csv\n",
+    "data-sweep": "fractions = 1.0\n",
+}
+
+PLAN_HEADER = ("round,layer_reduced,conv1_nnz,conv2_nnz,fc1_nnz,fc2_nnz,"
+               "total_nnz,val_acc,test_acc,memory_bytes,adopted\n")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -77,6 +95,24 @@ class TestBasicCommands:
         assert (out1 / "metrics.csv").read_text() == (out2 / "metrics.csv").read_text()
         assert (out1 / "manifest.txt").read_text() == (out2 / "manifest.txt").read_text()
 
+    def test_manifest_written_after_every_artifact(self, tmp_path, monkeypatch):
+        written = []
+        real_write = cli.write_atomic
+
+        def record(path, data):
+            written.append(Path(path).name)
+            real_write(path, data)
+
+        monkeypatch.setattr(cli, "write_atomic", record)
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "out"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        listed = [ln.split(" = ", 1)[1] for ln in (out / "manifest.txt").read_text().splitlines()
+                  if ln.startswith("artifact = ")]
+        assert written[-1] == "manifest.txt"
+        assert sorted(listed) == sorted(set(written) - {"manifest.txt", "config.resolved"})
+        assert sorted(written) == sorted(p.name for p in out.iterdir())
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -97,6 +133,35 @@ class TestExitCodes:
     def test_unknown_layer_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "[layer:fc9]\nkind = l2_decay\nlambda = 0.1\n")
         assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", sorted(set(REQUIRED) - {"train"}))
+    def test_unknown_layer_rejected_by_every_command(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, BASE + REQUIRED[command]
+                        + "[layer:fc9]\nkind = l2_decay\nlambda = 0.1\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,jobs", [
+        ("train", 2), ("eval", 2), ("memory-report", 2), ("threshold-compare", 2),
+        ("ensemble", 2), ("data-sweep", 2), ("sparsify-greedy", 0), ("train", 0),
+        ("ensemble", -1),
+    ])
+    def test_bad_jobs_is_config_error(self, tmp_path, command, jobs):
+        cfg = write_cfg(tmp_path, BASE + REQUIRED[command])
+        argv = [command, "--config", cfg, "--out", tmp_path / "o", "--jobs", jobs]
+        assert run(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("log", [
+        "",
+        "round,layer_reduced,conv1_nnz,total_nnz\n0,-,500,500\n",
+        PLAN_HEADER + "0,-,500\n",
+        PLAN_HEADER + "0,-,x,25000,400000,5000,431080,0.5,0.5,100,1\n",
+    ], ids=["empty", "missing_column", "ragged_row", "bad_cell"])
+    def test_malformed_plan_log_is_io_error(self, tmp_path, log):
+        (tmp_path / "plan.csv").write_text(log)
+        cfg = write_cfg(tmp_path, BASE + f"plan_log = {tmp_path / 'plan.csv'}\n")
+        assert run(["ensemble", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
 
     def test_corrupt_checkpoint_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -1,15 +1,16 @@
 """Byte-for-byte pins of the CLI's reproducible artifacts.
 
-Runs `train`, `sparsify-greedy` and `threshold-compare` on small generated
-configs that exercise every regularizer kind (biases included) and compares
-the sha256 of each artifact with a pinned value. A refactor that claims
-"same bytes" must leave these hashes alone.
+Runs every command on small generated configs that exercise every
+regularizer kind (biases included) and compares the sha256 of each artifact
+with a pinned value. A refactor that claims "same bytes" must leave these
+hashes alone. `sparsify-greedy --jobs 2` must reproduce the `--jobs 1` pins.
 
 Float results depend on the numpy and BLAS builds, so the hashes hold only
 for the stack they were captured under; on any other stack the tests skip.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ lambda = 0.005
 biases = true
 """
 
+# Paths in these configs are relative to the run directory, so that
+# config.resolved does not embed it.
+CHECKPOINT_CFG = "checkpoint = train/model.ckpt\n" + TRAIN_CFG
+ENSEMBLE_CFG = ("plan_log = sparsify-greedy/candidates.csv\nensemble_size = 2\n"
+                "budget = 870000\n" + PROTOCOL_CFG)
+SWEEP_CFG = "fractions = 0.5,1.0\n" + PROTOCOL_CFG
+
+# command -> (config text, the command whose artifacts it reads)
+CASES = {
+    "train": (TRAIN_CFG, None),
+    "sparsify-greedy": (PROTOCOL_CFG, None),
+    "threshold-compare": (PROTOCOL_CFG, None),
+    "eval": (CHECKPOINT_CFG, "train"),
+    "memory-report": (CHECKPOINT_CFG, "train"),
+    "ensemble": (ENSEMBLE_CFG, "sparsify-greedy"),
+    "data-sweep": (SWEEP_CFG, None),
+}
+
 GOLDEN = {
     "train": {
         "config.resolved": "936bff38d494ce5d7a84b3e6f5989afc75c1430cc6738df146b5ccf04768d5f3",
@@ -98,6 +117,27 @@ GOLDEN = {
         "manifest.txt": "77b8d61f7a9087c882c755d72d8cd333f45437acc7863e2c5f74031094e039da",
         "threshold_compare.csv": "33d77489c419583ca7334d020890103be0ff3ca5bb6db653014eea05f8de7986",
     },
+    "eval": {
+        "config.resolved": "e3e0249ffb44f25ce9bc2132fb6ef510126f0340112cd858c50c4a16b5cb1565",
+        "manifest.txt": "80b78ac5c7ccbca20fc75e5d8f76fe256fc38dd5e644f119bbd335cd90d14fe7",
+    },
+    "memory-report": {
+        "config.resolved": "e3e0249ffb44f25ce9bc2132fb6ef510126f0340112cd858c50c4a16b5cb1565",
+        "manifest.txt": "62e216aad5eacc5d582e10db0217fa6590aa038b9dc50529fd1be462fded66ca",
+        "memory.csv": "2182299e407c644e8376bf62319f6cb6b3a67ade8ad55bc4f515ee63f3c39c8d",
+    },
+    "ensemble": {
+        "config.resolved": "1ccef93242b75f89f2081538a8258c8236822dc80917159b9827727d707abc2e",
+        "ensemble.csv": "ef6c247b1a0b178fe2d9fbd07fab79718762cbdf3b004d361d39b9286ba5b6d7",
+        "manifest.txt": "0860925e5aa75972e64b861266e49116ca2a1606575b6e2471c75557646d9dd2",
+        "member_0.ckpt": "f09a7ba7cf2855ba2d14f1ddf6a35c2914057bbd254bd7781b7f00eed9015912",
+        "member_1.ckpt": "b0d8b802d6e77f49eacfb33e31ceabe929b0a90c2c9bc430ca9836b08bc63a51",
+    },
+    "data-sweep": {
+        "config.resolved": "7ac6eb3a3a63cce3b5b5e0c4eb9bc9418d89d37c6aa1e77c48964d9bb614a633",
+        "manifest.txt": "b6f83177a42e393471a8d52c4c8c1166d82dbdcc6da6bb1467acba0d40a30ccd",
+        "sweep.csv": "0a7fdbcb92ba26857312cc2db4f6a87615792913fc9035da512d8bffd45a16a4",
+    },
 }
 
 
@@ -110,18 +150,30 @@ def _stack_mismatch() -> str:
             f"{CAPTURED_BLAS}; this stack is numpy {np.__version__} / BLAS {blas or '?'}")
 
 
-def artifact_hashes(tmp_path, command, cfg_text):
-    """Run one CLI command and return {artifact file name: sha256}."""
-    cfg = tmp_path / "run.cfg"
+def run_case(command, *flags):
+    """Run `command` (after the command whose artifacts it reads) in the current
+    directory with its output under ./<command>; returns {file name: sha256}."""
+    cfg_text, needs = CASES[command]
+    if needs:
+        run_case(needs)
+    cfg = Path(f"{command}.cfg")
     cfg.write_text(cfg_text)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert main([command, "--config", str(cfg), "--out", command, *flags]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+            for p in sorted(Path(command).iterdir())}
+
+
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.skipif(bool(_stack_mismatch()), reason=_stack_mismatch())
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_artifacts_byte_identical(tmp_path, command):
-    cfg_text = TRAIN_CFG if command == "train" else PROTOCOL_CFG
-    assert artifact_hashes(tmp_path, command, cfg_text) == GOLDEN[command]
+def test_artifacts_byte_identical(command):
+    assert run_case(command) == GOLDEN[command]
+
+
+@pytest.mark.skipif(bool(_stack_mismatch()), reason=_stack_mismatch())
+def test_greedy_jobs2_matches_jobs1_pins():
+    assert run_case("sparsify-greedy", "--jobs", "2") == GOLDEN["sparsify-greedy"]

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sparsenet.checkpoint as checkpoint
 from sparsenet.checkpoint import (
     checkpoint_overhead_bytes,
     load_checkpoint,
@@ -198,6 +199,13 @@ class TestCheckpoints:
         save_checkpoint(net, path, "best")
         rep = report(net)
         assert path.stat().st_size == rep.total_best_bytes + checkpoint_overhead_bytes(net)
+
+    def test_payload_size_mismatch_raises(self, tmp_path, monkeypatch):
+        # a raised error, not an assert, so the check also holds under python -O
+        monkeypatch.setattr(checkpoint, "_encode_payload", lambda flat, enc, vb: b"")
+        with pytest.raises(CheckpointError, match="memory model"):
+            save_checkpoint(toy_net(dtype=np.float32), tmp_path / "x.ckpt", "dense")
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"

@@ -1,14 +1,19 @@
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import small_net
 from sparsenet.datasets import split_validation
+from sparsenet.net import build_lenet_small
 from sparsenet.protocols import (
     CandidateRecord,
     EnsembleModel,
     SparsityPlan,
+    _candidate_task,
     _reduced_cap,
+    _worker_init,
     candidate_log_csv,
     candidate_log_from_csv,
     data_starvation_sweep,
@@ -115,6 +120,16 @@ class TestGreedy:
         base = small_net(seed=31)
         with pytest.raises(ValueError, match="minimum feasible"):
             greedy_sparsify(base, train_part, val_part, 1, quick_cfg())
+
+    def test_candidate_result_pickles_without_caches(self):
+        # a pool pickles every candidate back to the parent: weights and
+        # gradients, not the activations of the validation pass
+        train_d, val_d = make_synthetic_pair(40, 50, shape=(1, 28, 28), seed=4)
+        net = build_lenet_small(seed=0)
+        param_bytes = sum(l.weights.nbytes + l.biases.nbytes for l in net.param_layers())
+        _worker_init(train_d, val_d)
+        cfg = quick_cfg(batch_size=10, max_iterations=2, eval_interval=2, eval_max=10)
+        assert len(pickle.dumps(_candidate_task((net, cfg, {})))) < 3 * param_bytes
 
     def test_log_csv_roundtrip(self, task):
         net = small_net()
