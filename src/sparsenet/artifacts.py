@@ -26,6 +26,7 @@ def write_atomic(path, data) -> None:
 
     The data goes to a temp file in the target directory, is synced to disk,
     then renamed over the target; the temp file is removed if any step fails.
+    Syncing the directory afterwards makes the rename itself durable.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -38,3 +39,8 @@ def write_atomic(path, data) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

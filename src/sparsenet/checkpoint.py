@@ -29,7 +29,7 @@ import numpy as np
 from .artifacts import write_atomic
 from .errors import CheckpointError
 from .memory import FORMATS, best_format, format_bytes
-from .net import build_topology
+from .net import TOPOLOGIES, build_topology
 
 MAGIC = b"SPNC"
 VERSION = 1
@@ -161,7 +161,10 @@ class _Reader:
 
     def string(self, what: str) -> str:
         (n,) = self.unpack("<H", what)
-        return self.take(n, what).decode()
+        try:
+            return self.take(n, what).decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"corrupt checkpoint: {what} is not utf-8") from e
 
 
 def load_checkpoint(path, net=None):
@@ -174,10 +177,14 @@ def load_checkpoint(path, net=None):
     version, value_bytes = r.unpack("<HB", "version")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if value_bytes not in (4, 8):
+        raise CheckpointError(f"{path}: unsupported value width {value_bytes} bytes")
     topology = r.string("topology name")
     (layer_count,) = r.unpack("<I", "layer count")
 
     if net is None:
+        if topology not in TOPOLOGIES:
+            raise CheckpointError(f"{path}: unknown topology {topology!r}")
         dtype = np.float32 if value_bytes == 4 else np.float64
         net = build_topology(topology, dtype=dtype)
     layers = net.param_layers()

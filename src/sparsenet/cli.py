@@ -45,26 +45,40 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-def load_datasets(cfg: RunConfig):
-    """(train, test) datasets per the config, preprocessed."""
-    if cfg.dataset == "mnist":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if getattr(cfg, key) is None:
-                raise ConfigError(f"dataset=mnist requires {key}")
-        train_d = load_mnist(cfg.train_images, cfg.train_labels)
-        test_d = load_mnist(cfg.test_images, cfg.test_labels)
-    elif cfg.dataset == "cifar10":
-        if not cfg.train_batches or not cfg.test_batches:
-            raise ConfigError("dataset=cifar10 requires train_batches and test_batches")
-        train_d = load_cifar10(cfg.train_batches)
-        test_d = load_cifar10(cfg.test_batches)
+# the config keys, after a "train_"/"test_" prefix, that name a file-backed split
+_SPLIT_KEYS = {"mnist": ("images", "labels"), "cifar10": ("batches",)}
+
+
+def _split_files(cfg: RunConfig, split: str, why: str = "") -> list:
+    keys = [f"{split}_{k}" for k in _SPLIT_KEYS[cfg.dataset]]
+    for key in keys:
+        if not getattr(cfg, key):
+            raise ConfigError(f"dataset={cfg.dataset} requires {key}{why}")
+    return [getattr(cfg, key) for key in keys]
+
+
+def load_datasets(cfg: RunConfig, need_train: bool = True):
+    """(train, test) datasets per the config, preprocessed.
+
+    With need_train=False a file-backed dataset reads its training files
+    only when subtract_mean needs their mean, and returns train as None
+    when it does not.
+    """
+    why = "" if need_train else " (subtract_mean = true needs the training mean)"
+    need_train = need_train or cfg.subtract_mean
+    if cfg.dataset in _SPLIT_KEYS:
+        load = load_mnist if cfg.dataset == "mnist" else load_cifar10
+        train_files = _split_files(cfg, "train", why) if need_train else None
+        test_files = _split_files(cfg, "test")
+        train_d = load(*train_files) if need_train else None
+        test_d = load(*test_files)
     else:
         shape = (1, 28, 28) if cfg.dataset == "synthetic_mnist" else (3, 32, 32)
         train_d, test_d = make_synthetic_pair(
             cfg.synthetic_train_n, cfg.synthetic_test_n, shape=shape,
             noise=cfg.synthetic_noise, seed=cfg.seed,
         )
-    if cfg.train_limit:
+    if cfg.train_limit and train_d is not None:
         train_d = train_d.take(np.arange(min(cfg.train_limit, len(train_d))))
     if cfg.test_limit:
         test_d = test_d.take(np.arange(min(cfg.test_limit, len(test_d))))
@@ -97,7 +111,7 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> dict:
     if not cfg.checkpoint:
         raise ConfigError("eval requires checkpoint=PATH in the config")
-    _, test_d = load_datasets(cfg)
+    _, test_d = load_datasets(cfg, need_train=False)
     net = load_checkpoint(cfg.checkpoint)
     print(f"test_accuracy={evaluate_accuracy(net, test_d)}")
     return {}

@@ -1,10 +1,13 @@
 """Network layers with explicit forward and backward passes.
 
-No autodiff: each layer caches what its backward pass needs during
-forward and computes parameter/input gradients directly. The layer set
-is fixed (conv, max-pool, relu, fully-connected, softmax loss), which
-keeps every backward pass independently checkable against finite
-differences.
+No autodiff, and no state beyond hyperparameters, weights and biases:
+forward(x) returns (out, ctx), where ctx is what the backward pass needs
+for that batch, and backward(dout, ctx) returns (dx, grads) with grads
+(grad_w, grad_b) for a parameterized layer and None otherwise. A caller
+that only wants outputs drops ctx, so inference keeps no activations.
+The layer set is fixed (conv, max-pool, relu, fully-connected, softmax
+loss), which keeps every backward pass independently checkable against
+finite differences.
 """
 
 import numpy as np
@@ -18,14 +21,13 @@ class Layer:
     has_params = False
     name = ""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
+        """(output, context for backward)."""
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, ctx):
+        """(gradient w.r.t. the input, (grad_w, grad_b) or None)."""
         raise NotImplementedError
-
-    def clear_cache(self) -> None:
-        pass
 
 
 def _im2col(xp, kh, kw, oh, ow, stride):
@@ -66,10 +68,6 @@ class Conv2d(Layer):
         self.weights = (init_std * rng.standard_normal(
             (out_channels, in_channels, kernel, kernel))).astype(dtype)
         self.biases = np.zeros(out_channels, dtype=dtype)
-        self.grad_weights = None
-        self.grad_biases = None
-        self._cols = None
-        self._x_shape = None
 
     def out_hw(self, h, w):
         k, s, p = self.kernel, self.stride, self.pad
@@ -85,26 +83,19 @@ class Conv2d(Layer):
         cols = _im2col(xp, k, k, oh, ow, s)
         w2d = self.weights.reshape(self.out_channels, -1)
         out = np.matmul(w2d[None], cols) + self.biases[None, :, None]
-        self._cols = cols
-        self._x_shape = (n, c, h, w)
-        return out.reshape(n, self.out_channels, oh, ow)
+        return out.reshape(n, self.out_channels, oh, ow), (cols, x.shape)
 
-    def backward(self, dout):
-        n, c, h, w = self._x_shape
+    def backward(self, dout, ctx):
+        cols, (n, c, h, w) = ctx
         k, s, p = self.kernel, self.stride, self.pad
         oh, ow = self.out_hw(h, w)
         d2 = dout.reshape(n, self.out_channels, oh * ow)
         w2d = self.weights.reshape(self.out_channels, -1)
-        self.grad_weights = np.matmul(d2, self._cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.weights.shape
-        )
-        self.grad_biases = d2.sum(axis=(0, 2))
+        grad_w = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weights.shape)
+        grad_b = d2.sum(axis=(0, 2))
         dcols = np.matmul(w2d.T[None], d2)
         dxp = _col2im(dcols, (n, c, h + 2 * p, w + 2 * p), k, k, oh, ow, s)
-        return dxp[:, :, p : p + h, p : p + w] if p else dxp
-
-    def clear_cache(self):
-        self._cols = None
+        return (dxp[:, :, p : p + h, p : p + w] if p else dxp), (grad_w, grad_b)
 
 
 class MaxPool2d(Layer):
@@ -112,8 +103,6 @@ class MaxPool2d(Layer):
 
     def __init__(self, window):
         self.window = window
-        self._argmax = None
-        self._x_shape = None
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -125,37 +114,26 @@ class MaxPool2d(Layer):
             x.reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, s * s)
         )
         # argmax takes the first maximum, so tie handling is deterministic
-        self._argmax = windows.argmax(axis=-1)
-        self._x_shape = x.shape
-        return np.take_along_axis(windows, self._argmax[..., None], axis=-1)[..., 0]
+        argmax = windows.argmax(axis=-1)
+        return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0], (argmax, x.shape)
 
-    def backward(self, dout):
-        n, c, h, w = self._x_shape
+    def backward(self, dout, ctx):
+        argmax, (n, c, h, w) = ctx
         s = self.window
         oh, ow = h // s, w // s
         dwin = np.zeros((n, c, oh, ow, s * s), dtype=dout.dtype)
-        np.put_along_axis(dwin, self._argmax[..., None], dout[..., None], axis=-1)
-        return (
-            dwin.reshape(n, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-        )
-
-    def clear_cache(self):
-        self._argmax = None
+        np.put_along_axis(dwin, argmax[..., None], dout[..., None], axis=-1)
+        dx = dwin.reshape(n, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        return dx, None
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, x.dtype.type(0))
+        mask = x > 0
+        return np.where(mask, x, x.dtype.type(0)), mask
 
-    def backward(self, dout):
-        return np.where(self._mask, dout, dout.dtype.type(0))
-
-    def clear_cache(self):
-        self._mask = None
+    def backward(self, dout, mask):
+        return np.where(mask, dout, dout.dtype.type(0)), None
 
 
 class Linear(Layer):
@@ -171,10 +149,6 @@ class Linear(Layer):
         rng = rng or np.random.default_rng(0)
         self.weights = (init_std * rng.standard_normal((out_features, in_features))).astype(dtype)
         self.biases = np.zeros(out_features, dtype=dtype)
-        self.grad_weights = None
-        self.grad_biases = None
-        self._x2d = None
-        self._x_shape = None
 
     def forward(self, x):
         x2d = x.reshape(len(x), -1)
@@ -182,45 +156,31 @@ class Linear(Layer):
             raise ShapeError(
                 f"{self.name}: expected {self.in_features} input features, got {x2d.shape[1]}"
             )
-        self._x2d = x2d
-        self._x_shape = x.shape
-        return x2d @ self.weights.T + self.biases
+        return x2d @ self.weights.T + self.biases, (x2d, x.shape)
 
-    def backward(self, dout):
-        self.grad_weights = dout.T @ self._x2d
-        self.grad_biases = dout.sum(axis=0)
-        return (dout @ self.weights).reshape(self._x_shape)
-
-    def clear_cache(self):
-        self._x2d = None
+    def backward(self, dout, ctx):
+        x2d, x_shape = ctx
+        return (dout @ self.weights).reshape(x_shape), (dout.T @ x2d, dout.sum(axis=0))
 
 
 class SoftmaxCrossEntropy(Layer):
     """Softmax over class scores with mean cross-entropy loss.
 
-    forward() returns the probability rows; loss()/backward() consume the
-    cached probabilities for a given label vector.
+    forward() returns the probability rows, which are also the whole
+    backward context: loss() and backward() take them with a label vector.
     """
-
-    def __init__(self):
-        self._probs = None
 
     def forward(self, scores):
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        self._probs = e / e.sum(axis=1, keepdims=True)
-        return self._probs
+        return e / e.sum(axis=1, keepdims=True)
 
-    def loss(self, labels) -> float:
-        n = len(labels)
-        p = self._probs[np.arange(n), labels]
+    def loss(self, probs, labels) -> float:
+        p = probs[np.arange(len(labels)), labels]
         return float(-np.mean(np.log(np.maximum(p, np.finfo(np.float64).tiny))))
 
-    def backward(self, labels):
+    def backward(self, probs, labels):
         n = len(labels)
-        d = self._probs.copy()
+        d = probs.copy()
         d[np.arange(n), labels] -= 1
-        return d / self._probs.dtype.type(n)
-
-    def clear_cache(self):
-        self._probs = None
+        return d / probs.dtype.type(n)

@@ -1,10 +1,11 @@
 """Network container, reference topologies, and parameter bookkeeping.
 
 A Network owns an ordered layer list ending in a softmax loss head.
-forward() retains per-layer activations so backward() can produce
-gradients for every weight and bias; backward before forward is an
-error. Networks are single-writer: training mutates one exclusively,
-while inference on an unmutated network is safe to share.
+Layers hold no activations: forward() keeps the backward contexts of one
+batch and backward() consumes them, so each backward needs a fresh
+forward; predict_probs() keeps none. Networks are single-writer: training
+mutates one exclusively, while predict_probs on an unmutated network is
+safe to share.
 """
 
 import copy
@@ -26,7 +27,7 @@ class Network:
         self.topology = topology
         self.input_shape = tuple(input_shape) if input_shape else None
         self.class_count = class_count
-        self._forward_done = False
+        self._trace = None  # (probs, per-layer contexts) of the last forward()
 
     def param_layers(self):
         return [l for l in self.layers if l.has_params]
@@ -54,54 +55,59 @@ class Network:
     def nnz(self) -> int:
         return sum(self.layer_nnz().values())
 
-    def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run the batch through every layer; returns softmax probabilities."""
+    def _run(self, batch: np.ndarray, keep: bool):
+        """(softmax probabilities, per-layer backward contexts) for `batch`;
+        without `keep`, each context is dropped once the next layer has run."""
         if self.input_shape and tuple(batch.shape[1:]) != self.input_shape:
             raise ShapeError(
                 f"batch shape {tuple(batch.shape[1:])} does not match "
                 f"network input {self.input_shape}"
             )
         x = np.ascontiguousarray(batch, dtype=self.dtype)
+        ctxs = []
         for layer in self.layers:
-            x = layer.forward(x)
-        probs = self.loss_layer.forward(x)
-        self._forward_done = True
-        return probs
+            x, ctx = layer.forward(x)
+            if keep:
+                ctxs.append(ctx)
+        return self.loss_layer.forward(x), ctxs
+
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """Run the batch through every layer; returns softmax probabilities
+        and keeps what one loss()/backward() on this batch needs."""
+        self._trace = self._run(batch, keep=True)
+        return self._trace[0]
 
     def loss(self, labels) -> float:
-        if not self._forward_done:
+        if self._trace is None:
             raise RuntimeError("loss() requires a prior forward() on the same batch")
-        return self.loss_layer.loss(labels)
+        return self.loss_layer.loss(self._trace[0], labels)
 
     def backward(self, labels):
-        """Gradients of the mean softmax cross-entropy loss.
+        """Gradients of the mean softmax cross-entropy loss; consumes the
+        last forward(), releasing each layer's context once it is used.
 
-        Returns {layer_name: (grad_weights, grad_biases)} for every
-        parameterized layer.
+        Returns {layer_name: (grad_w, grad_b)} for every parameterized
+        layer, in layer order.
         """
-        if not self._forward_done:
+        if self._trace is None:
             raise RuntimeError("backward() requires a prior forward() on the same batch")
-        d = self.loss_layer.backward(labels)
+        (probs, ctxs), self._trace = self._trace, None
+        d = self.loss_layer.backward(probs, labels)
+        grads = []
         for layer in reversed(self.layers):
-            d = layer.backward(d)
-        return {l.name: (l.grad_weights, l.grad_biases) for l in self.param_layers()}
+            d, g = layer.backward(d, ctxs.pop())
+            if g is not None:
+                grads.append((layer.name, g))
+        return dict(reversed(grads))
 
     def predict_probs(self, images: np.ndarray, batch_size: int = 200) -> np.ndarray:
-        """Probabilities for a full image array, evaluated in batches."""
-        chunks = [
-            self.forward(images[i : i + batch_size]) for i in range(0, len(images), batch_size)
-        ]
+        """Probabilities for a full image array, evaluated in batches
+        without keeping any backward context."""
+        chunks = [self._run(images[i : i + batch_size], keep=False)[0]
+                  for i in range(0, len(images), batch_size)]
         return np.concatenate(chunks)
 
-    def clear_cache(self) -> None:
-        """Drop every layer's activation cache; backward() then needs a new forward()."""
-        for layer in (*self.layers, self.loss_layer):
-            layer.clear_cache()
-        self._forward_done = False
-
     def clone(self) -> "Network":
-        """Deep copy of the network with activation caches dropped."""
-        self.clear_cache()
         return copy.deepcopy(self)
 
 

@@ -127,14 +127,16 @@ def _candidate_task(args):
     net, cfg, specs = args
     net, _ = train(net, _WORKER_DATA["train"], cfg, reg_specs=specs)
     val_acc = evaluate_accuracy(net, _WORKER_DATA["val"])
-    net.clear_cache()  # a pool pickles the result back; caches are most of its bytes
     return net, val_acc
 
 
 def _run_tasks(task_args, train_data, val_data, jobs: int):
     if jobs <= 1:
         _worker_init(train_data, val_data)
-        return [_candidate_task(a) for a in task_args]
+        try:
+            return [_candidate_task(a) for a in task_args]
+        finally:
+            _WORKER_DATA.clear()
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_worker_init, initargs=(train_data, val_data)
     ) as pool:

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -40,3 +41,21 @@ def test_failed_write_keeps_old_bytes_and_no_temp_file(tmp_path, monkeypatch, wr
         write(target)
     assert target.read_bytes() == b"old bytes"
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_write_atomic_syncs_directory_after_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(tmp_path / "a.csv", "x\n")
+    assert events == ["fsync file", "replace", "fsync dir"]

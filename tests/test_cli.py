@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sparsenet import cli
+from sparsenet.checkpoint import encode_checkpoint, save_checkpoint
 from sparsenet.cli import EXIT_CONFIG, EXIT_IO, main
 from sparsenet.datasets import write_cifar_batch, write_idx_images, write_idx_labels
+from sparsenet.net import build_topology
 from sparsenet.synthetic import as_uint8, make_synthetic_pair
 
 BASE = """
@@ -169,6 +171,14 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
 
+    def test_flipped_topology_byte_is_io_error(self, tmp_path):
+        raw = bytearray(encode_checkpoint(build_topology("lenet_small"), "dense"))
+        raw[9] ^= 0x80  # first byte of the topology name: no longer utf-8
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
+        assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+
     def test_eval_without_checkpoint_key(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
@@ -207,6 +217,36 @@ class TestFileBackedDatasets:
             "eval_interval = 6\nseed = 1\n",
         )
         assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+    def _eval_config(self, tmp_path, dataset, subtract_mean):
+        """An eval config naming a checkpoint and the test files only."""
+        topology, shape = {"mnist": ("lenet_small", (1, 28, 28)),
+                           "cifar10": ("cifar_quick", (3, 32, 32))}[dataset]
+        _, test_d = make_synthetic_pair(10, 20, shape=shape, seed=13)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_topology(topology), ckpt)
+        if dataset == "mnist":
+            write_idx_images(tmp_path / "test.images", as_uint8(test_d))
+            write_idx_labels(tmp_path / "test.labels", test_d.labels)
+            files = (f"test_images = {tmp_path / 'test.images'}\n"
+                     f"test_labels = {tmp_path / 'test.labels'}\n")
+        else:
+            write_cifar_batch(tmp_path / "test.bin", as_uint8(test_d), test_d.labels)
+            files = f"test_batches = {tmp_path / 'test.bin'}\n"
+        return write_cfg(tmp_path, f"dataset = {dataset}\ntopology = {topology}\n" + files
+                         + f"subtract_mean = {subtract_mean}\ncheckpoint = {ckpt}\n")
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_eval_reads_only_test_files(self, tmp_path, capsys, dataset):
+        cfg = self._eval_config(tmp_path, dataset, "false")
+        assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert capsys.readouterr().out.startswith("test_accuracy=")
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_eval_mean_needs_train_files(self, tmp_path, capsys, dataset):
+        cfg = self._eval_config(tmp_path, dataset, "true")
+        assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "training mean" in capsys.readouterr().err
 
 
 class TestProtocolCommands:

@@ -42,7 +42,7 @@ class TestConvForward:
         layer = Conv2d("c", 3, 5, 3, stride=stride, pad=pad, init_std=0.3,
                        dtype=np.float64, rng=rng)
         x = rng.standard_normal((4, 3, 9, 9))
-        fast = layer.forward(x)
+        fast, _ = layer.forward(x)
         slow = conv_forward_naive(x, layer.weights, layer.biases, stride, pad)
         npt.assert_allclose(fast, slow, atol=1e-6)
 
@@ -51,7 +51,7 @@ class TestConvForward:
         layer.weights = np.ones((1, 1, 1, 1))
         layer.biases = np.zeros(1)
         x = np.random.default_rng(2).standard_normal((2, 1, 5, 5))
-        npt.assert_allclose(layer.forward(x), x, atol=1e-12)
+        npt.assert_allclose(layer.forward(x)[0], x, atol=1e-12)
 
     def test_channel_mismatch(self):
         layer = Conv2d("c", 3, 4, 3)
@@ -65,7 +65,7 @@ class TestLinearForward:
         layer = Linear("f", 12, 7, init_std=0.4, dtype=np.float64, rng=rng)
         x = rng.standard_normal((5, 3, 2, 2))
         npt.assert_allclose(
-            layer.forward(x), fc_forward_naive(x, layer.weights, layer.biases), atol=1e-9
+            layer.forward(x)[0], fc_forward_naive(x, layer.weights, layer.biases), atol=1e-9
         )
 
     def test_feature_mismatch(self):
@@ -77,7 +77,7 @@ class TestLinearForward:
 class TestMaxPool:
     def test_known_windows(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2).forward(x)
+        out, _ = MaxPool2d(2).forward(x)
         npt.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
     def test_indivisible_errors(self):
@@ -87,8 +87,8 @@ class TestMaxPool:
     def test_tie_gradient_goes_to_first(self):
         layer = MaxPool2d(2)
         x = np.ones((1, 1, 2, 2))
-        layer.forward(x)
-        dx = layer.backward(np.array([[[[1.0]]]]))
+        _, ctx = layer.forward(x)
+        dx, _ = layer.backward(np.array([[[[1.0]]]]), ctx)
         npt.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -102,8 +102,8 @@ class TestSoftmaxLoss:
 
     def test_loss_of_uniform(self):
         layer = SoftmaxCrossEntropy()
-        layer.forward(np.zeros((3, 10)))
-        assert layer.loss(np.array([0, 5, 9])) == pytest.approx(np.log(10))
+        probs = layer.forward(np.zeros((3, 10)))
+        assert layer.loss(probs, np.array([0, 5, 9])) == pytest.approx(np.log(10))
 
     def test_shift_invariance(self):
         layer = SoftmaxCrossEntropy()
@@ -125,19 +125,17 @@ class TestPerLayerGradients:
         rng = rng_for(seed, "gradcheck")
         layer = make_layer(rng)
         x = rng.standard_normal((3, *in_shape))
-        r = rng.standard_normal(layer.forward(x).shape)
+        r = rng.standard_normal(layer.forward(x)[0].shape)
 
         def probe(xv):
-            return float(np.sum(layer.forward(xv) * r))
+            return float(np.sum(layer.forward(xv)[0] * r))
 
-        layer.forward(x)
-        dx = layer.backward(r)
+        _, ctx = layer.forward(x)
+        dx, grads = layer.backward(r, ctx)
         assert rel_error(dx, numeric_grad(probe, x)) <= 1e-4
 
         if param_check:
-            for attr in ("weights", "biases"):
-                analytic = getattr(layer, f"grad_{attr}")
-
+            for attr, analytic in zip(("weights", "biases"), grads):
                 def probe_param(p, attr=attr):
                     saved = getattr(layer, attr)
                     setattr(layer, attr, p)
@@ -188,10 +186,9 @@ class TestPerLayerGradients:
         labels = rng.integers(0, 6, size=4)
 
         def probe(s):
-            head.forward(s)
-            return head.loss(labels)
+            return head.loss(head.forward(s), labels)
 
-        head.forward(scores)
-        head.loss(labels)
-        analytic = head.backward(labels)
+        probs = head.forward(scores)
+        head.loss(probs, labels)
+        analytic = head.backward(probs, labels)
         assert rel_error(analytic, numeric_grad(probe, scores)) <= 1e-4

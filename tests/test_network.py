@@ -1,10 +1,17 @@
+import pickle
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sparsenet.checkpoint as checkpoint
 from sparsenet.checkpoint import (
+    ENCODINGS,
     checkpoint_overhead_bytes,
+    encode_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -15,6 +22,8 @@ from sparsenet.memory import format_bytes, report
 from sparsenet.net import Network, build_cifar_quick, build_lenet_small, build_topology
 from sparsenet.regularizers import l0_project
 from sparsenet.seeding import rng_for
+from sparsenet.synthetic import make_synthetic_pair
+from sparsenet.training import TrainConfig, train
 
 
 def toy_net(seed=0, dtype=np.float64):
@@ -121,6 +130,53 @@ class TestBackward:
         double = net.backward(np.array([2, 2]))
         for name in single:
             npt.assert_allclose(single[name][0], double[name][0], atol=1e-12)
+
+
+def _assert_holds_only_parameters(net):
+    for layer in (*net.layers, net.loss_layer):
+        arrays = {k for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
+        assert arrays <= {"weights", "biases"}
+    param_bytes = sum(l.weights.nbytes + l.biases.nbytes for l in net.param_layers())
+    assert len(pickle.dumps(net)) < 1.25 * param_bytes
+
+
+@pytest.mark.parametrize("topology", ["lenet_small", "cifar_quick"])
+class TestNoActivationState:
+    """A network between steps costs its parameters and nothing else."""
+
+    def _setup(self, topology):
+        net = build_topology(topology)
+        train_d, test_d = make_synthetic_pair(40, 30, shape=net.input_shape, seed=2)
+        return net, train_d, test_d
+
+    def test_after_train_with_test_data(self, topology):
+        net, train_d, test_d = self._setup(topology)
+        cfg = TrainConfig(batch_size=10, max_iterations=3, eval_interval=2, eval_max=40)
+        net, _ = train(net, train_d, cfg, test_data=test_d)
+        _assert_holds_only_parameters(net)
+
+    def test_after_predict_probs(self, topology):
+        net, _, test_d = self._setup(topology)
+        net.predict_probs(test_d.images, batch_size=20)
+        _assert_holds_only_parameters(net)
+
+    def test_after_forward_backward(self, topology):
+        net, train_d, _ = self._setup(topology)
+        net.forward(train_d.images[:20])
+        net.backward(train_d.labels[:20])
+        _assert_holds_only_parameters(net)
+
+    def test_backward_consumes_the_forward(self, topology):
+        net, train_d, _ = self._setup(topology)
+        net.forward(train_d.images[:5])
+        net.backward(train_d.labels[:5])
+        with pytest.raises(RuntimeError):
+            net.backward(train_d.labels[:5])
+
+    def test_predict_probs_checks_input_shape(self, topology):
+        net, train_d, _ = self._setup(topology)
+        with pytest.raises(ShapeError):
+            net.predict_probs(train_d.images[:, :, 1:])
 
 
 class TestCheckpoints:
@@ -246,3 +302,65 @@ class TestCheckpoints:
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="nnz"):
             load_checkpoint(p, toy_net(dtype=np.float32))
+
+
+def _header_offsets(net, blob):
+    """Offsets of every byte of `blob` (a checkpoint of `net`) outside the payloads."""
+    pos = len(checkpoint.MAGIC) + 3 + len(checkpoint._pack_str(net.topology)) + 4
+    offsets = list(range(pos))
+    for layer in net.param_layers():
+        head = len(checkpoint._layer_header(layer, "dense")) + 16
+        (payload_len,) = struct.unpack_from("<Q", blob, pos + head - 8)
+        offsets += range(pos, pos + head)
+        pos += head + payload_len
+    assert pos == len(blob)
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def lenet_blobs():
+    """{encoding: (checkpoint bytes, header offsets)} of a sparse lenet_small."""
+    net = build_lenet_small(seed=3)
+    for layer in net.param_layers():
+        layer.weights = l0_project(layer.weights, 40)
+    blobs = {enc: encode_checkpoint(net, enc) for enc in ENCODINGS}
+    return {enc: (blob, _header_offsets(net, blob)) for enc, blob in blobs.items()}
+
+
+class TestCorruptCheckpoints:
+    """Whatever the damage, load_checkpoint raises CheckpointError or nothing."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncation_raises_checkpoint_error(self, tmp_path, lenet_blobs, data):
+        blob, _ = lenet_blobs[data.draw(st.sampled_from(ENCODINGS))]
+        p = tmp_path / "cut.ckpt"
+        p.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bit_flip_raises_only_checkpoint_error(self, tmp_path, lenet_blobs, data):
+        blob, header = lenet_blobs[data.draw(st.sampled_from(ENCODINGS))]
+        offset = data.draw(st.sampled_from(header) | st.integers(0, len(blob) - 1))
+        raw = bytearray(blob)
+        raw[offset] ^= 1 << data.draw(st.integers(0, 7))
+        p = tmp_path / "flip.ckpt"
+        p.write_bytes(bytes(raw))
+        target = build_lenet_small() if data.draw(st.booleans()) else None
+        try:
+            load_checkpoint(p, target)
+        except CheckpointError:
+            pass
+
+    @pytest.mark.parametrize("byte,match", [(0xEC, "utf-8"), (ord("m"), "unknown topology")])
+    def test_corrupt_topology_name(self, tmp_path, byte, match):
+        raw = bytearray(encode_checkpoint(build_lenet_small(), "dense"))
+        raw[len(checkpoint.MAGIC) + 5] = byte  # first byte of "lenet_small"
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(p)

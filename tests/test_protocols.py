@@ -12,6 +12,7 @@ from sparsenet.protocols import (
     EnsembleModel,
     SparsityPlan,
     _candidate_task,
+    _WORKER_DATA,
     _reduced_cap,
     _worker_init,
     candidate_log_csv,
@@ -114,6 +115,14 @@ class TestGreedy:
                 diff = [k for k in prev_caps if rec.plan.caps[k] != prev_caps[k]]
                 assert diff == [rec.layer_reduced]
 
+    def test_jobs1_run_releases_datasets(self, task):
+        train_d, _ = task
+        train_part, val_part = split_validation(train_d, seed=1)
+        base = small_net(seed=32)
+        target = base.nnz() - 1
+        greedy_sparsify(base, train_part, val_part, target, quick_cfg(max_iterations=5), jobs=1)
+        assert _WORKER_DATA == {}
+
     def test_target_below_feasible_errors(self, task):
         train_d, _ = task
         train_part, val_part = split_validation(train_d, seed=1)
@@ -122,8 +131,8 @@ class TestGreedy:
             greedy_sparsify(base, train_part, val_part, 1, quick_cfg())
 
     def test_candidate_result_pickles_without_caches(self):
-        # a pool pickles every candidate back to the parent: weights and
-        # gradients, not the activations of the validation pass
+        # a pool pickles every candidate back to the parent: its weights and
+        # biases, not the activations of its training or validation passes
         train_d, val_d = make_synthetic_pair(40, 50, shape=(1, 28, 28), seed=4)
         net = build_lenet_small(seed=0)
         param_bytes = sum(l.weights.nbytes + l.biases.nbytes for l in net.param_layers())
