@@ -12,7 +12,6 @@ from sparsenet.regularizers import (
     l1_subgradient_update,
     threshold,
 )
-from sparsenet.tensor import l0_count
 
 w = np.array([0.90, -0.45, 0.08, -0.03, 0.30, 0.002, -0.70])
 print("weights          :", w)
@@ -21,13 +20,13 @@ delta = 0.05
 sub = l1_subgradient_update(w, delta)
 print(f"\nl1 subgradient (delta={delta}):")
 print("  result         :", np.round(sub, 3))
-print("  exact zeros    :", w.size - l0_count(sub), "of", w.size,
+print("  exact zeros    :", w.size - np.count_nonzero(sub), "of", w.size,
       "(small weights overshoot instead of landing on zero)")
 
 shr = l1_shrinkage_update(w, delta)
 print(f"\nl1 shrinkage (delta={delta}):")
 print("  result         :", np.round(shr, 3))
-print("  exact zeros    :", w.size - l0_count(shr), "pinned at zero, signs preserved")
+print("  exact zeros    :", w.size - np.count_nonzero(shr), "pinned at zero, signs preserved")
 
 proj = l0_project(w, t=3)
 print("\nl0 projection (t=3):")
@@ -37,7 +36,7 @@ print("  kept the 3 largest magnitudes bit-for-bit, zeroed the rest")
 thr = threshold(w, 0.1)
 print("\npost-hoc threshold (delta=0.1):")
 print("  result         :", thr)
-print("  nnz            :", l0_count(thr))
+print("  nnz            :", np.count_nonzero(thr))
 
 # shrinkage is the l1 proximal operator: verify against a scalar argmin
 z = np.linspace(-2, 2, 400001)

@@ -32,7 +32,7 @@ def build_net(seed):
         ReLU(),
         Linear("fc2", 32, 10, init_std=0.18, rng=rng),
     ]
-    return Network(layers, SoftmaxCrossEntropy(), "demo16", (3, 16, 16), 10)
+    return Network(layers, SoftmaxCrossEntropy(), "demo16", (3, 16, 16))
 
 
 train_d, test_d = make_synthetic_pair(3000, 800, shape=(3, 16, 16), noise=2.6,

@@ -37,5 +37,4 @@ from .regularizers import (
     l1_subgradient_update,
     threshold,
 )
-from .tensor import l0_count, linf_norm, lp_norm
 from .training import TrainConfig, evaluate_accuracy, full_gradient, train

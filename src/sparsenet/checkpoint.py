@@ -168,8 +168,9 @@ class _Reader:
 
 
 def load_checkpoint(path, net=None):
-    """Load a checkpoint into `net`, or into a fresh instance of the
-    recorded topology when `net` is omitted. Returns the network."""
+    """Load a checkpoint into `net`, whose topology name must match the
+    recorded one, or into a fresh instance of the recorded topology when
+    `net` is omitted. Returns the network."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.take(4, "magic") != MAGIC:
@@ -187,6 +188,10 @@ def load_checkpoint(path, net=None):
             raise CheckpointError(f"{path}: unknown topology {topology!r}")
         dtype = np.float32 if value_bytes == 4 else np.float64
         net = build_topology(topology, dtype=dtype)
+    elif topology != net.topology:
+        raise CheckpointError(
+            f"{path}: topology mismatch: checkpoint has {topology!r}, network is {net.topology!r}"
+        )
     layers = net.param_layers()
     if len(layers) != layer_count:
         raise CheckpointError(

@@ -117,7 +117,7 @@ class RunConfig:
 
     layers: dict = field(default_factory=dict)
 
-    def to_train_config(self, max_iterations=None, seed=None) -> TrainConfig:
+    def to_train_config(self, max_iterations=None) -> TrainConfig:
         return TrainConfig(
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
@@ -125,7 +125,7 @@ class RunConfig:
             lr_step=self.lr_step,
             momentum=self.momentum,
             max_iterations=max_iterations or self.max_iterations,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             eval_interval=self.eval_interval,
             eval_max=self.eval_max,
         )

@@ -35,7 +35,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     class_count: int
-    mean_image: np.ndarray | None = None
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -143,7 +142,7 @@ def subtract_mean(train: Dataset, other: Dataset):
     """Shift both datasets by the per-pixel mean of the training set.
 
     The training mean, not the other set's own mean, is subtracted from
-    both; the mean used is recorded on each returned dataset.
+    both.
     """
     if train.sample_shape != other.sample_shape:
         raise ShapeError(
@@ -151,8 +150,8 @@ def subtract_mean(train: Dataset, other: Dataset):
         )
     mean = train.images.mean(axis=0, dtype=np.float64).astype(train.images.dtype)
     return (
-        replace(train, images=train.images - mean, mean_image=mean),
-        replace(other, images=other.images - mean, mean_image=mean),
+        replace(train, images=train.images - mean),
+        replace(other, images=other.images - mean),
     )
 
 

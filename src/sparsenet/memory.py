@@ -18,7 +18,6 @@ from .artifacts import csv_text
 
 INDEX_BYTES = 4
 SINGLE_VALUE_BYTES = 4
-DOUBLE_VALUE_BYTES = 8
 
 KB = 2**10
 MB = 2**20
@@ -122,8 +121,9 @@ def report_from_counts(counts, value_bytes: int = SINGLE_VALUE_BYTES) -> MemoryR
     return MemoryReport(layers=rows, value_bytes=value_bytes)
 
 
-def report(net, value_bytes: int = SINGLE_VALUE_BYTES) -> MemoryReport:
-    """Memory report of a network's parameter layers.
+def report(net) -> MemoryReport:
+    """Memory report of a network's parameter layers at the width of the
+    network's own values (4 bytes for float32, 8 for float64).
 
     Biases count toward each layer's N and nnz; a layer's parameters are
     treated as one flat vector when costing the sparse formats, matching
@@ -131,7 +131,7 @@ def report(net, value_bytes: int = SINGLE_VALUE_BYTES) -> MemoryReport:
     """
     nnz = net.layer_nnz()
     counts = [(l.name, l.weights.size + l.biases.size, nnz[l.name]) for l in net.param_layers()]
-    return report_from_counts(counts, value_bytes)
+    return report_from_counts(counts, net.dtype.itemsize)
 
 
 def _fmt_amount(nbytes: int, units: str) -> str:

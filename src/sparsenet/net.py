@@ -19,14 +19,16 @@ from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 
+# images per predict_probs chunk: the one knob on inference batch size
+PREDICT_CHUNK = 200
+
 
 class Network:
-    def __init__(self, layers, loss, topology="custom", input_shape=None, class_count=10):
+    def __init__(self, layers, loss, topology="custom", input_shape=None):
         self.layers = list(layers)
         self.loss_layer = loss
         self.topology = topology
         self.input_shape = tuple(input_shape) if input_shape else None
-        self.class_count = class_count
         self._trace = None  # (probs, per-layer contexts) of the last forward()
 
     def param_layers(self):
@@ -100,11 +102,11 @@ class Network:
                 grads.append((layer.name, g))
         return dict(reversed(grads))
 
-    def predict_probs(self, images: np.ndarray, batch_size: int = 200) -> np.ndarray:
-        """Probabilities for a full image array, evaluated in batches
-        without keeping any backward context."""
-        chunks = [self._run(images[i : i + batch_size], keep=False)[0]
-                  for i in range(0, len(images), batch_size)]
+    def predict_probs(self, images: np.ndarray) -> np.ndarray:
+        """Probabilities for a full image array, evaluated in chunks of
+        PREDICT_CHUNK images without keeping any backward context."""
+        chunks = [self._run(images[i : i + PREDICT_CHUNK], keep=False)[0]
+                  for i in range(0, len(images), PREDICT_CHUNK)]
         return np.concatenate(chunks)
 
     def clone(self) -> "Network":
@@ -137,7 +139,7 @@ def build_lenet_small(seed: int = 0, dtype=np.float32, conv_std=0.01, fc_std=0.0
         ReLU(),
         Linear("fc2", 500, 10, init_std=fc_std, dtype=dtype, rng=rng),
     ]
-    net = Network(layers, SoftmaxCrossEntropy(), "lenet_small", (1, 28, 28), 10)
+    net = Network(layers, SoftmaxCrossEntropy(), "lenet_small", (1, 28, 28))
     _log_param_counts(net)
     return net
 
@@ -165,7 +167,7 @@ def build_cifar_quick(seed: int = 0, dtype=np.float32, conv1_std=0.01,
         Linear("fc1", 64 * 4 * 4, 64, init_std=fc_std, dtype=dtype, rng=rng),
         Linear("fc2", 64, 10, init_std=fc_std, dtype=dtype, rng=rng),
     ]
-    net = Network(layers, SoftmaxCrossEntropy(), "cifar_quick", (3, 32, 32), 10)
+    net = Network(layers, SoftmaxCrossEntropy(), "cifar_quick", (3, 32, 32))
     _log_param_counts(net)
     return net
 

@@ -29,10 +29,9 @@ from .training import TrainConfig, evaluate_accuracy, train
 
 @dataclass(frozen=True)
 class SparsityPlan:
-    """Per-layer nonzero caps for weights, with a provenance note."""
+    """Per-layer nonzero caps for weights."""
 
     caps: dict
-    provenance: str = ""
 
     def validate(self, net) -> None:
         for name, t in self.caps.items():
@@ -97,7 +96,7 @@ def candidate_log_from_csv(text: str):
                 CandidateRecord(
                     round=int(cells["round"]),
                     layer_reduced=cells["layer_reduced"],
-                    plan=SparsityPlan(caps, provenance=f"log round {cells['round']}"),
+                    plan=SparsityPlan(caps),
                     total_nnz=int(cells["total_nnz"]),
                     val_acc=float(cells["val_acc"]),
                     test_acc=float(cells["test_acc"]),
@@ -169,7 +168,7 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
 
     caps = {l.name: max(1, int(np.count_nonzero(l.weights))) for l in layers}
     incumbent = base_net.clone()
-    plan = SparsityPlan(caps=dict(caps), provenance="greedy round 0")
+    plan = SparsityPlan(dict(caps))
     records = [
         CandidateRecord(
             round=0,
@@ -198,7 +197,7 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
         for name in reducible:
             cand_caps = dict(caps)
             cand_caps[name] = _reduced_cap(caps[name])
-            plans.append(SparsityPlan(cand_caps, provenance=f"greedy round {round_no}"))
+            plans.append(SparsityPlan(cand_caps))
             cand_cfg = replace(cfg, seed=cfg.seed + candidate_index)
             candidate_index += 1
             task_args.append(
@@ -228,8 +227,7 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
         caps = dict(plans[best].caps)
         records.extend(round_records)
 
-    final_plan = SparsityPlan(dict(caps), provenance=f"greedy round {round_no}")
-    return incumbent, final_plan, records
+    return incumbent, SparsityPlan(dict(caps)), records
 
 
 THRESHOLD_COMPARE_HEADER = ("delta", "total_nnz", "acc_threshold", "acc_retrained")
@@ -266,7 +264,7 @@ def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset
         if removed == 0:
             acc_ret = dense_acc
         else:
-            plan = SparsityPlan(caps, provenance=f"matched-to-threshold delta={delta}")
+            plan = SparsityPlan(caps)
             rnet = dense_net.clone()
             rnet, _ = train(
                 rnet, train_data, replace(cfg, seed=cfg.seed + i),
@@ -305,13 +303,13 @@ def select_plan(plan_source, max_nnz: int, net) -> SparsityPlan:
     return best.plan
 
 
-def train_ensemble(n: int, budget: int, plan_source, data: Dataset, cfg: TrainConfig,
-                   build_net, test_data=None, projection_period: int = 100):
+def train_ensemble(n: int, budget: int, plan_source, data: Dataset, cfg: TrainConfig, build_net):
     """Train an n-member bagged ensemble under a total nonzero budget.
 
     Each member trains on a bootstrap resample (the 1-member ensemble is
     the unbagged baseline) under the best logged plan with at most
-    budget // n nonzeros. Member RNG streams are cfg.seed + member index.
+    budget // n nonzeros, l0-projected every 100 iterations. Member RNG
+    streams are cfg.seed + member index.
     """
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -322,10 +320,7 @@ def train_ensemble(n: int, budget: int, plan_source, data: Dataset, cfg: TrainCo
         member_cfg = replace(cfg, seed=cfg.seed + i)
         member_data = data if n == 1 else bag_resample(data, seed=member_cfg.seed)
         net = build_net(seed=member_cfg.seed)
-        net, _ = train(
-            net, member_data, member_cfg,
-            reg_specs=plan.reg_specs(projection_period), test_data=test_data,
-        )
+        net, _ = train(net, member_data, member_cfg, reg_specs=plan.reg_specs())
         members.append(net)
         plans.append(plan)
     return EnsembleModel(members=members, plans=plans, budget=budget)

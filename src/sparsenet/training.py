@@ -98,16 +98,11 @@ class MetricsLog:
         )
 
 
-def evaluate_accuracy(net, dataset, batch_size: int = 200, limit: int | None = None,
-                      indices=None) -> float:
-    """Fraction of correct argmax predictions; ties go to the lowest class."""
-    images, labels = dataset.images, dataset.labels
-    if indices is not None:
-        images, labels = images[indices], labels[indices]
-    elif limit is not None and limit < len(labels):
-        images, labels = images[:limit], labels[:limit]
-    probs = net.predict_probs(images, batch_size=batch_size)
-    return float(np.mean(probs.argmax(axis=1) == labels))
+def evaluate_accuracy(net, dataset) -> float:
+    """Fraction of correct argmax predictions over the whole dataset; ties
+    go to the lowest class."""
+    probs = net.predict_probs(dataset.images)
+    return float(np.mean(probs.argmax(axis=1) == dataset.labels))
 
 
 def _check_finite(value, what: str, iteration: int) -> None:
@@ -142,12 +137,13 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
     }
 
     batch_rng = rng_for(cfg.seed, "batches")
-    eval_rng = rng_for(cfg.seed, "eval")
-    train_eval_idx = (
-        np.sort(eval_rng.choice(n, size=min(n, cfg.eval_max), replace=False))
-        if n > cfg.eval_max
-        else None
-    )
+    # the metrics subsets: a sorted seeded sample of the training set, and
+    # the head of the test set, each at most eval_max examples
+    train_eval = dataset
+    if n > cfg.eval_max:
+        sample = rng_for(cfg.seed, "eval").choice(n, size=cfg.eval_max, replace=False)
+        train_eval = dataset.take(np.sort(sample))
+    test_eval = test_data.take(slice(0, cfg.eval_max)) if test_data is not None else None
 
     metrics = MetricsLog(layer_names=[l.name for l in param_layers])
 
@@ -155,12 +151,8 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
         reg_term = 0.0
         for layer in param_layers:
             reg_term = add_regularization_term(reg_term, layer, specs[layer.name])
-        train_acc = evaluate_accuracy(net, dataset, limit=cfg.eval_max, indices=train_eval_idx)
-        test_acc = (
-            evaluate_accuracy(net, test_data, limit=cfg.eval_max)
-            if test_data is not None
-            else float("nan")
-        )
+        train_acc = evaluate_accuracy(net, train_eval)
+        test_acc = evaluate_accuracy(net, test_eval) if test_eval is not None else float("nan")
         metrics.append(
             MetricsRow(
                 iteration=iteration,

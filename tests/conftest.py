@@ -16,7 +16,7 @@ def small_net(seed=0, dtype=np.float32, classes=4):
         MaxPool2d(2),
         Linear("fc1", 4 * 4 * 4, classes, init_std=0.1, dtype=dtype, rng=rng),
     ]
-    return Network(layers, SoftmaxCrossEntropy(), "small", (1, 8, 8), classes)
+    return Network(layers, SoftmaxCrossEntropy(), "small", (1, 8, 8))
 
 
 def small_data(n=120, seed=0, classes=4, noise=0.3):

@@ -179,6 +179,14 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
 
+    def test_init_checkpoint_of_another_topology_is_io_error(self, tmp_path):
+        raw = bytearray(encode_checkpoint(build_topology("lenet_small"), "dense"))
+        raw[9] = ord("m")  # "lenet_small" -> "menet_small": still utf-8, same layers
+        bad = tmp_path / "init.ckpt"
+        bad.write_bytes(bytes(raw))
+        cfg = write_cfg(tmp_path, BASE + f"init_checkpoint = {bad}\n")
+        assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+
     def test_eval_without_checkpoint_key(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG

@@ -142,7 +142,6 @@ class TestSubtractMean:
         out_train, out_test = subtract_mean(train, test)
         train_mean = train.images.mean(axis=0)
         npt.assert_allclose(out_test.images, test.images - train_mean, atol=1e-6)
-        npt.assert_array_equal(out_test.mean_image, out_train.mean_image)
         # the test set's own mean is NOT zero after the shift
         assert abs(out_test.images.mean()) > 1e-4
 

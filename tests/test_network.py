@@ -37,7 +37,7 @@ def toy_net(seed=0, dtype=np.float64):
         ReLU(),
         Linear("f1", 4 * 2 * 2, 4, init_std=0.2, dtype=dtype, rng=rng),
     ]
-    return Network(layers, SoftmaxCrossEntropy(), "toy", (2, 8, 8), 4)
+    return Network(layers, SoftmaxCrossEntropy(), "toy", (2, 8, 8))
 
 
 class TestTopologies:
@@ -157,7 +157,7 @@ class TestNoActivationState:
 
     def test_after_predict_probs(self, topology):
         net, _, test_d = self._setup(topology)
-        net.predict_probs(test_d.images, batch_size=20)
+        net.predict_probs(test_d.images)
         _assert_holds_only_parameters(net)
 
     def test_after_forward_backward(self, topology):
@@ -239,6 +239,16 @@ class TestCheckpoints:
         rep = report(net)
         payload_total = rep.total(encoding)
         assert path.stat().st_size == payload_total + checkpoint_overhead_bytes(net)
+
+    @pytest.mark.parametrize("encoding", ["dense", "bitmask", "indexed"])
+    def test_float64_file_size_matches_memory_report(self, tmp_path, encoding):
+        net = build_lenet_small(seed=3, dtype=np.float64)
+        fc1 = net.layer("fc1")
+        fc1.weights = l0_project(fc1.weights, fc1.weights.size // 10)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path, encoding)
+        expected = checkpoint_overhead_bytes(net, encoding) + report(net).total(encoding)
+        assert path.stat().st_size == expected
 
     def test_indexed_payload_is_8_bytes_per_nonzero(self, tmp_path):
         net = toy_net(seed=12, dtype=np.float32)
@@ -364,3 +374,11 @@ class TestCorruptCheckpoints:
         p.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
+
+    def test_topology_name_mismatch_with_target(self, tmp_path):
+        raw = bytearray(encode_checkpoint(build_lenet_small(), "dense"))
+        raw[len(checkpoint.MAGIC) + 5] = ord("m")  # "lenet_small" -> "menet_small"
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="topology mismatch"):
+            load_checkpoint(p, build_lenet_small())

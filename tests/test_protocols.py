@@ -188,7 +188,7 @@ def _fake_log(net, caps_levels):
     dense = {l.name: l.weights.size for l in net.param_layers()}
     for i, scale in enumerate(caps_levels):
         caps = {k: max(1, int(v * scale)) for k, v in dense.items()}
-        plan = SparsityPlan(caps, provenance=f"level {scale}")
+        plan = SparsityPlan(caps)
         records.append(
             CandidateRecord(
                 round=i, layer_reduced="-", plan=plan, total_nnz=plan.total_nnz(net),
@@ -257,7 +257,7 @@ class TestEnsembles:
             def __init__(self, probs):
                 self._p = probs
 
-            def predict_probs(self, images, batch_size=200):
+            def predict_probs(self, images):
                 return np.tile(self._p, (len(images), 1))
 
             def nnz(self):

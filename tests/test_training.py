@@ -9,6 +9,7 @@ from sparsenet.checkpoint import load_checkpoint, save_checkpoint
 from sparsenet.datasets import Dataset
 from sparsenet.errors import NumericError
 from sparsenet.regularizers import RegSpec, threshold
+from sparsenet.seeding import rng_for
 from sparsenet.training import (
     TrainConfig,
     evaluate_accuracy,
@@ -292,6 +293,26 @@ class TestTrainLoop:
         kept = cut.layer("fc1").biases
         npt.assert_array_equal(kept, plain.layer("fc1").biases)
         assert np.any((kept != 0) & (np.abs(kept) < lam))
+
+
+class TestMetricsSubsets:
+    def test_accuracies_read_the_pinned_subsets(self, small_pair):
+        # both sets are longer than eval_max: train accuracy reads a sorted
+        # seeded sample of the training set, test accuracy the test set's head
+        train_d, test_d = small_pair
+        cfg = TrainConfig(batch_size=20, learning_rate=0.05, max_iterations=4,
+                          eval_interval=4, eval_max=50, seed=10)
+        assert len(train_d) > cfg.eval_max and len(test_d) > cfg.eval_max
+        net, metrics = train(small_net(seed=21), train_d, cfg, test_data=test_d)
+
+        def acc(images, labels):
+            return float(np.mean(net.predict_probs(images).argmax(axis=1) == labels))
+
+        idx = np.sort(rng_for(cfg.seed, "eval").choice(len(train_d), cfg.eval_max,
+                                                         replace=False))
+        last = metrics.rows[-1]
+        assert last.train_acc == acc(train_d.images[idx], train_d.labels[idx])
+        assert last.test_acc == acc(test_d.images[: cfg.eval_max], test_d.labels[: cfg.eval_max])
 
 
 def replace_cfg(cfg, **kw):
