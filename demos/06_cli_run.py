@@ -2,7 +2,8 @@
 
 Generates a dataset, writes it in the CIFAR binary batch format, writes
 a config file, then runs train / eval / memory-report through the CLI
-exactly as a shell user would.
+exactly as a shell user would. Everything lives in a temporary directory
+that is removed when the demo ends, whether or not a command failed.
 """
 
 import subprocess
@@ -13,14 +14,26 @@ from pathlib import Path
 from sparsenet.datasets import write_cifar_batch
 from sparsenet.synthetic import as_uint8, make_synthetic_pair
 
-work = Path(tempfile.mkdtemp(prefix="sparsenet-demo-"))
-print("working under", work)
 
-train_d, test_d = make_synthetic_pair(1200, 300, shape=(3, 32, 32), noise=4.0, seed=42)
-write_cifar_batch(work / "train.bin", as_uint8(train_d), train_d.labels)
-write_cifar_batch(work / "test.bin", as_uint8(test_d), test_d.labels)
+def cli(*args):
+    cmd = [sys.executable, "-m", "sparsenet.cli", *map(str, args)]
+    print("\n$", " ".join(cmd[2:]))
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    print(proc.stdout, end="")
+    if proc.returncode != 0:
+        print(proc.stderr, end="")
+        raise SystemExit(proc.returncode)
 
-config = f"""
+
+with tempfile.TemporaryDirectory(prefix="sparsenet-demo-") as tmp:
+    work = Path(tmp)
+    print("working under", work)
+
+    train_d, test_d = make_synthetic_pair(1200, 300, shape=(3, 32, 32), noise=4.0, seed=42)
+    write_cifar_batch(work / "train.bin", as_uint8(train_d), train_d.labels)
+    write_cifar_batch(work / "test.bin", as_uint8(test_d), test_d.labels)
+
+    config = f"""
 dataset = cifar10
 train_batches = {work / 'train.bin'}
 test_batches = {work / 'test.bin'}
@@ -38,26 +51,15 @@ kind = l0_projection
 t = 6000
 period = 50
 """
-cfg_path = work / "run.cfg"
-cfg_path.write_text(config)
+    cfg_path = work / "run.cfg"
+    cfg_path.write_text(config)
 
+    cli("train", "--config", cfg_path, "--out", work / "run")
+    # eval reads the checkpoint path from the config; global keys precede layer sections
+    cfg_path.write_text(f"checkpoint = {work / 'run' / 'model.ckpt'}\n" + config)
+    cli("eval", "--config", cfg_path, "--out", work / "eval")
+    cli("memory-report", "--config", cfg_path, "--out", work / "mem", "--kb")
 
-def cli(*args):
-    cmd = [sys.executable, "-m", "sparsenet.cli", *map(str, args)]
-    print("\n$", " ".join(cmd[2:]))
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    print(proc.stdout, end="")
-    if proc.returncode != 0:
-        print(proc.stderr, end="")
-        raise SystemExit(proc.returncode)
-
-
-cli("train", "--config", cfg_path, "--out", work / "run")
-# eval reads the checkpoint path from the config; global keys precede layer sections
-cfg_path.write_text(f"checkpoint = {work / 'run' / 'model.ckpt'}\n" + config)
-cli("eval", "--config", cfg_path, "--out", work / "eval")
-cli("memory-report", "--config", cfg_path, "--out", work / "mem", "--kb")
-
-print("\nartifacts:")
-for p in sorted((work / "run").iterdir()):
-    print(" ", p.name, p.stat().st_size, "bytes")
+    print("\nartifacts:")
+    for p in sorted((work / "run").iterdir()):
+        print(" ", p.name, p.stat().st_size, "bytes")

@@ -165,9 +165,14 @@ def cmd_threshold_compare(cfg: RunConfig, args) -> dict:
 def cmd_ensemble(cfg: RunConfig, args) -> dict:
     if not cfg.plan_log:
         raise ConfigError("ensemble requires plan_log=PATH (a candidate-log CSV)")
-    train_d, test_d = load_datasets(cfg)
     records = candidate_log_from_csv(Path(cfg.plan_log).read_text())
     probe = build_topology(cfg.topology, seed=cfg.seed)
+    for i, record in enumerate(records, start=1):
+        try:
+            record.plan.validate(probe)
+        except ValueError as e:
+            raise DataFormatError(f"candidate log row {i}: {e}") from e
+    train_d, test_d = load_datasets(cfg)
     budget = cfg.budget if cfg.budget is not None else probe.param_count()
 
     ensemble = train_ensemble(
@@ -195,9 +200,7 @@ def cmd_data_sweep(cfg: RunConfig, args) -> dict:
     sparse_specs = cfg.reg_specs(_layer_names(probe))
 
     rows = data_starvation_sweep(
-        cfg.fractions,
-        (cfg.to_train_config(), dense_specs),
-        (cfg.to_train_config(), sparse_specs),
+        cfg.fractions, cfg.to_train_config(), dense_specs, sparse_specs,
         train_d, test_d, partial(build_topology, cfg.topology), seed=cfg.seed,
     )
     return {"sweep.csv": csv_text(SWEEP_HEADER, rows)}

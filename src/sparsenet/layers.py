@@ -15,54 +15,37 @@ import numpy as np
 from .errors import ShapeError
 
 
-class Layer:
-    """Base layer; parameterized subclasses carry weights/biases by name."""
-
-    has_params = False
-    name = ""
-
-    def forward(self, x: np.ndarray):
-        """(output, context for backward)."""
-        raise NotImplementedError
-
-    def backward(self, dout: np.ndarray, ctx):
-        """(gradient w.r.t. the input, (grad_w, grad_b) or None)."""
-        raise NotImplementedError
+def _im2col(xp, k):
+    """(n, c * k * k, oh * ow) columns of every k x k window of `xp`, in one copy."""
+    n, c, hp, wp = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, (hp - k + 1) * (wp - k + 1))
 
 
-def _im2col(xp, kh, kw, oh, ow, stride):
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
-
-
-def _col2im(dcols, shape_padded, kh, kw, oh, ow, stride):
-    n, c, hp, wp = shape_padded
-    dxp = np.zeros(shape_padded, dtype=dcols.dtype)
-    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[
-                :, :, i, j
-            ]
+def _col2im(dcols, padded_shape, k):
+    """Adjoint of _im2col: adds each column entry back onto its input pixel."""
+    n, c, hp, wp = padded_shape
+    oh, ow = hp - k + 1, wp - k + 1
+    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
+    dcols = dcols.reshape(n, c, k, k, oh, ow)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
     return dxp
 
 
-class Conv2d(Layer):
-    """2-d convolution; weights are (out_channels, in_channels, kh, kw)."""
+class Conv2d:
+    """2-d convolution over every kernel x kernel window of the padded input;
+    weights are (out_channels, in_channels, kernel, kernel)."""
 
     has_params = True
 
-    def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0,
+    def __init__(self, name, in_channels, out_channels, kernel, pad=0,
                  init_std=0.01, dtype=np.float32, rng=None):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        self.stride = stride
         self.pad = pad
         rng = rng or np.random.default_rng(0)
         self.weights = (init_std * rng.standard_normal(
@@ -70,36 +53,37 @@ class Conv2d(Layer):
         self.biases = np.zeros(out_channels, dtype=dtype)
 
     def out_hw(self, h, w):
-        k, s, p = self.kernel, self.stride, self.pad
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        k, p = self.kernel, self.pad
+        return h + 2 * p - k + 1, w + 2 * p - k + 1
 
     def forward(self, x):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
-        k, s, p = self.kernel, self.stride, self.pad
+        p = self.pad
         oh, ow = self.out_hw(h, w)
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(xp, k, k, oh, ow, s)
+        cols = _im2col(xp, self.kernel)
         w2d = self.weights.reshape(self.out_channels, -1)
         out = np.matmul(w2d[None], cols) + self.biases[None, :, None]
         return out.reshape(n, self.out_channels, oh, ow), (cols, x.shape)
 
     def backward(self, dout, ctx):
         cols, (n, c, h, w) = ctx
-        k, s, p = self.kernel, self.stride, self.pad
-        oh, ow = self.out_hw(h, w)
-        d2 = dout.reshape(n, self.out_channels, oh * ow)
+        p = self.pad
+        d2 = dout.reshape(n, self.out_channels, -1)
         w2d = self.weights.reshape(self.out_channels, -1)
         grad_w = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weights.shape)
         grad_b = d2.sum(axis=(0, 2))
         dcols = np.matmul(w2d.T[None], d2)
-        dxp = _col2im(dcols, (n, c, h + 2 * p, w + 2 * p), k, k, oh, ow, s)
+        dxp = _col2im(dcols, (n, c, h + 2 * p, w + 2 * p), self.kernel)
         return (dxp[:, :, p : p + h, p : p + w] if p else dxp), (grad_w, grad_b)
 
 
-class MaxPool2d(Layer):
-    """Max pooling with stride equal to the window; spatial dims must divide."""
+class MaxPool2d:
+    """Max pooling over non-overlapping windows; spatial dims must divide."""
+
+    has_params = False
 
     def __init__(self, window):
         self.window = window
@@ -127,7 +111,9 @@ class MaxPool2d(Layer):
         return dx, None
 
 
-class ReLU(Layer):
+class ReLU:
+    has_params = False
+
     def forward(self, x):
         mask = x > 0
         return np.where(mask, x, x.dtype.type(0)), mask
@@ -136,7 +122,7 @@ class ReLU(Layer):
         return np.where(mask, dout, dout.dtype.type(0)), None
 
 
-class Linear(Layer):
+class Linear:
     """Fully-connected layer; flattens any trailing input dimensions."""
 
     has_params = True
@@ -163,7 +149,7 @@ class Linear(Layer):
         return (dout @ self.weights).reshape(x_shape), (dout.T @ x2d, dout.sum(axis=0))
 
 
-class SoftmaxCrossEntropy(Layer):
+class SoftmaxCrossEntropy:
     """Softmax over class scores with mean cross-entropy loss.
 
     forward() returns the probability rows, which are also the whole

@@ -24,11 +24,11 @@ PREDICT_CHUNK = 200
 
 
 class Network:
-    def __init__(self, layers, loss, topology="custom", input_shape=None):
+    def __init__(self, layers, loss, topology, input_shape):
         self.layers = list(layers)
         self.loss_layer = loss
         self.topology = topology
-        self.input_shape = tuple(input_shape) if input_shape else None
+        self.input_shape = tuple(input_shape)
         self._trace = None  # (probs, per-layer contexts) of the last forward()
 
     def param_layers(self):
@@ -59,8 +59,9 @@ class Network:
 
     def _run(self, batch: np.ndarray, keep: bool):
         """(softmax probabilities, per-layer backward contexts) for `batch`;
-        without `keep`, each context is dropped once the next layer has run."""
-        if self.input_shape and tuple(batch.shape[1:]) != self.input_shape:
+        without `keep`, each layer's context is freed as soon as the layer
+        returns, before the next layer allocates."""
+        if tuple(batch.shape[1:]) != self.input_shape:
             raise ShapeError(
                 f"batch shape {tuple(batch.shape[1:])} does not match "
                 f"network input {self.input_shape}"
@@ -71,6 +72,7 @@ class Network:
             x, ctx = layer.forward(x)
             if keep:
                 ctxs.append(ctx)
+            del ctx
         return self.loss_layer.forward(x), ctxs
 
     def forward(self, batch: np.ndarray) -> np.ndarray:

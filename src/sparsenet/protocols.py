@@ -34,6 +34,11 @@ class SparsityPlan:
     caps: dict
 
     def validate(self, net) -> None:
+        """Raise ValueError unless the plan caps exactly the parameterized
+        layers of `net`, each within [1, its weight count]."""
+        names = {l.name for l in net.param_layers()}
+        if set(self.caps) != names:
+            raise ValueError(f"plan caps layers {sorted(self.caps)}, network has {sorted(names)}")
         for name, t in self.caps.items():
             size = net.layer(name).weights.size
             if not 1 <= t <= size:
@@ -240,8 +245,8 @@ def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset
     For each delta: threshold the dense net's weights at delta and measure
     test accuracy; copy the resulting per-layer nonzero distribution into
     an l0 plan; retrain a fresh copy of the dense weights under that plan
-    and measure again. When a delta removes nothing the dense net already
-    satisfies the plan and is reported unchanged on both branches.
+    and measure again. When a delta zeroes no nonzero weight the dense net
+    already satisfies the plan and is reported unchanged on both branches.
 
     Returns rows of THRESHOLD_COMPARE_HEADER: (delta, total_nnz,
     acc_threshold, acc_retrained).
@@ -250,20 +255,19 @@ def threshold_compare(dense_net, deltas, train_data: Dataset, test_data: Dataset
     if not deltas:
         raise ValueError("empty threshold grid")
     dense_acc = evaluate_accuracy(dense_net, test_data)
+    dense_nnz = dense_net.nnz()
     rows = []
     for i, delta in enumerate(deltas):
         thr_net = dense_net.clone()
-        removed = 0
         caps = {}
         for layer in thr_net.param_layers():
             layer.weights = threshold(layer.weights, delta)
             caps[layer.name] = max(1, int(np.count_nonzero(layer.weights)))
-            removed += layer.weights.size - int(np.count_nonzero(layer.weights))
         total_nnz = thr_net.nnz()
-        acc_thr = evaluate_accuracy(thr_net, test_data) if removed else dense_acc
-        if removed == 0:
-            acc_ret = dense_acc
+        if total_nnz == dense_nnz:
+            acc_thr = acc_ret = dense_acc
         else:
+            acc_thr = evaluate_accuracy(thr_net, test_data)
             plan = SparsityPlan(caps)
             rnet = dense_net.clone()
             rnet, _ = train(
@@ -345,22 +349,23 @@ def ensemble_accuracy(ensemble: EnsembleModel, data: Dataset) -> float:
 SWEEP_HEADER = ("fraction", "regime", "train_acc", "test_acc")
 
 
-def data_starvation_sweep(fractions, dense, sparse, train_data: Dataset,
-                          test_data: Dataset, build_net, seed: int = 0):
+def data_starvation_sweep(fractions, cfg: TrainConfig, dense_specs, sparse_specs,
+                          train_data: Dataset, test_data: Dataset, build_net, seed: int = 0):
     """Dense vs sparse training across shrinking training subsets.
 
-    `dense` and `sparse` are (TrainConfig, reg_specs) pairs. For each
-    fraction the same subsample feeds both regimes. Returns rows of
-    SWEEP_HEADER: (fraction, regime, train_acc, test_acc) where train_acc
-    is measured on the subsample the run actually saw.
+    Both regimes train under `cfg`, the dense one with `dense_specs` and
+    the sparse one with `sparse_specs`. For each fraction the same
+    subsample feeds both regimes. Returns rows of SWEEP_HEADER: (fraction,
+    regime, train_acc, test_acc) where train_acc is measured on the
+    subsample the run actually saw.
     """
     rows = []
     for fi, fraction in enumerate(fractions):
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         sub = subsample(train_data, fraction, seed=seed + fi) if fraction < 1.0 else train_data
-        for ri, (regime, (tc, specs)) in enumerate((("dense", dense), ("sparse", sparse))):
-            run_cfg = replace(tc, seed=tc.seed + 100 * fi + ri)
+        for ri, (regime, specs) in enumerate((("dense", dense_specs), ("sparse", sparse_specs))):
+            run_cfg = replace(cfg, seed=cfg.seed + 100 * fi + ri)
             net = build_net(seed=run_cfg.seed)
             net, _ = train(net, sub, run_cfg, reg_specs=specs)
             rows.append(

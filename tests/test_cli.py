@@ -159,7 +159,13 @@ class TestExitCodes:
         "round,layer_reduced,conv1_nnz,total_nnz\n0,-,500,500\n",
         PLAN_HEADER + "0,-,500\n",
         PLAN_HEADER + "0,-,x,25000,400000,5000,431080,0.5,0.5,100,1\n",
-    ], ids=["empty", "missing_column", "ragged_row", "bad_cell"])
+        PLAN_HEADER.replace("fc2_nnz,", "fc2_nnz,fc9_nnz,")
+        + "0,-,500,25000,400000,5000,10,431090,0.5,0.5,100,1\n",
+        PLAN_HEADER + "0,-,0,25000,400000,5000,430580,0.5,0.5,100,1\n",
+        PLAN_HEADER + "0,-,500,25000,400000,99999999,100425080,0.5,0.5,100,1\n",
+        PLAN_HEADER.replace("fc2_nnz,", "") + "0,-,500,25000,400000,426080,0.5,0.5,100,1\n",
+    ], ids=["empty", "missing_column", "ragged_row", "bad_cell", "unknown_layer", "zero_cap",
+            "cap_above_layer_size", "uncapped_layer"])
     def test_malformed_plan_log_is_io_error(self, tmp_path, log):
         (tmp_path / "plan.csv").write_text(log)
         cfg = write_cfg(tmp_path, BASE + f"plan_log = {tmp_path / 'plan.csv'}\n")

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from sparsenet.cli import main
+from sparsenet.net import build_cifar_quick
+from sparsenet.seeding import rng_for
 
 # the stack the hashes below were captured under
 CAPTURED_NUMPY = "2.4.6"
@@ -177,3 +179,28 @@ def test_artifacts_byte_identical(command):
 @pytest.mark.skipif(bool(_stack_mismatch()), reason=_stack_mismatch())
 def test_greedy_jobs2_matches_jobs1_pins():
     assert run_case("sparsify-greedy", "--jobs", "2") == GOLDEN["sparsify-greedy"]
+
+
+CIFAR_QUICK_DIGEST = "dd56ea05380ad0d31521d07867b9c85629ad6a53a241a4c695ed7421cbe4aee3"
+
+
+def cifar_quick_digest() -> str:
+    """sha256 of cifar_quick's forward probabilities, backward gradients (in
+    layer order) and predict_probs over 450 images, the last chunk partial,
+    on seeded float32 inputs. The CLI pins above run only lenet_small, so
+    this is the byte pin of padded convolution and relu-before-pool."""
+    rng = rng_for(11, "golden-cifar-quick")
+    net = build_cifar_quick(seed=11, conv1_std=0.1, conv_std=0.05, fc_std=0.1)
+    images = rng.standard_normal((450, 3, 32, 32)).astype(np.float32)
+    labels = rng.integers(0, 10, size=50)
+    h = hashlib.sha256(net.forward(images[:50]).tobytes())
+    for grad_w, grad_b in net.backward(labels).values():
+        h.update(grad_w.tobytes())
+        h.update(grad_b.tobytes())
+    h.update(net.predict_probs(images).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(bool(_stack_mismatch()), reason=_stack_mismatch())
+def test_cifar_quick_forward_backward_predict_bytes():
+    assert cifar_quick_digest() == CIFAR_QUICK_DIGEST

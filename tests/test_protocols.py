@@ -60,12 +60,12 @@ class TestReducedCap:
 class TestSparsityPlan:
     def test_validate_bounds(self):
         net = small_net()
-        SparsityPlan({"fc1": 1}).validate(net)
-        SparsityPlan({"fc1": net.layer("fc1").weights.size}).validate(net)
+        SparsityPlan({"conv1": 1, "fc1": 1}).validate(net)
+        SparsityPlan({"conv1": 1, "fc1": net.layer("fc1").weights.size}).validate(net)
         with pytest.raises(ValueError):
-            SparsityPlan({"fc1": 0}).validate(net)
+            SparsityPlan({"conv1": 1, "fc1": 0}).validate(net)
         with pytest.raises(ValueError):
-            SparsityPlan({"fc1": 10**9}).validate(net)
+            SparsityPlan({"conv1": 1, "fc1": 10**9}).validate(net)
 
     def test_total_includes_biases(self):
         net = small_net()
@@ -175,6 +175,19 @@ class TestThresholdCompare:
         rows = threshold_compare(dense, grid, train_d, test_d, quick_cfg(seed=15))
         nnzs = [r[1] for r in rows]
         assert all(a >= b for a, b in zip(nnzs, nnzs[1:]))
+
+    def test_zero_delta_with_dense_zeros_does_not_retrain(self, task, monkeypatch):
+        train_d, test_d = task
+        dense = small_net(seed=34)
+        dense.layer("fc1").weights[0, :5] = 0.0
+        dense_acc = evaluate_accuracy(dense, test_d)
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("delta 0.0 removes nothing, so nothing retrains")
+
+        monkeypatch.setattr("sparsenet.protocols.train", no_train)
+        rows = threshold_compare(dense, [0.0], train_d, test_d, quick_cfg(seed=16))
+        assert rows == [(0.0, dense.nnz(), dense_acc, dense_acc)]
 
     def test_empty_grid_errors(self, task):
         train_d, test_d = task
@@ -297,11 +310,9 @@ class TestDataStarvation:
         def build(seed):
             return small_net(seed=seed)
 
-        dense = (quick_cfg(max_iterations=150, seed=70), {})
         sparse_specs = {"fc1": RegSpec(kind="l0_projection", t=40, period=50)}
-        sparse = (quick_cfg(max_iterations=150, seed=70), sparse_specs)
-        rows = data_starvation_sweep([0.25, 1.0], dense, sparse, train_d, test_d,
-                                     build, seed=3)
+        rows = data_starvation_sweep([0.25, 1.0], quick_cfg(max_iterations=150, seed=70), {},
+                                     sparse_specs, train_d, test_d, build, seed=3)
         assert len(rows) == 4
         assert {r[1] for r in rows} == {"dense", "sparse"}
         for fraction, regime, train_acc, test_acc in rows:
@@ -312,5 +323,5 @@ class TestDataStarvation:
     def test_rejects_bad_fraction(self, task):
         train_d, test_d = task
         with pytest.raises(ValueError):
-            data_starvation_sweep([0.0], (quick_cfg(), {}), (quick_cfg(), {}),
+            data_starvation_sweep([0.0], quick_cfg(), {}, {},
                                   train_d, test_d, lambda seed: small_net(seed=seed))
