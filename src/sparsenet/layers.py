@@ -5,6 +5,9 @@ forward(x) returns (out, ctx), where ctx is what the backward pass needs
 for that batch, and backward(dout, ctx) returns (dx, grads) with grads
 (grad_w, grad_b) for a parameterized layer and None otherwise. A caller
 that only wants outputs drops ctx, so inference keeps no activations.
+Each ctx holds references or arrays the forward made anyway: conv keeps
+its im2col columns, max-pool its input and pooled output (no index
+array), relu its mask, fc its flattened input.
 The layer set is fixed (conv, max-pool, relu, fully-connected, softmax
 loss), which keeps every backward pass independently checkable against
 finite differences.
@@ -81,33 +84,57 @@ class Conv2d:
 
 
 class MaxPool2d:
-    """Max pooling over non-overlapping windows; spatial dims must divide."""
+    """Max pooling over non-overlapping s x s windows; spatial dims must divide.
+
+    Each output is the first maximum of its window in row-major order: a
+    window holding a NaN pools to NaN (NaN counts as the maximum), and on a
+    -0/+0 tie the earlier zero wins. The window is never materialized: the
+    forward folds the s * s strided views x[:, :, i::s, j::s] into a copy of
+    the first with np.maximum(view, acc). The argument order matters there:
+    on a -0/+0 tie numpy (2.4) returns the second argument, the running max,
+    so the earlier zero stays; np.maximum(acc, view) would let the later one
+    win. tests/test_layers.py pins this against numpy's first-maximum index
+    on every window over {-1, -0, +0, 1, NaN}. The context is the input
+    and the pooled output, no index array; backward sends each gradient to
+    the first view position equal to the max (the first NaN in a NaN
+    window), so a tie routes to the first maximum.
+    """
 
     has_params = False
 
     def __init__(self, window):
         self.window = window
 
+    def _views(self, a):
+        s = self.window
+        return [a[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+
     def forward(self, x):
         n, c, h, w = x.shape
         s = self.window
         if h % s or w % s:
             raise ShapeError(f"pool window {s} does not divide input {h}x{w}")
-        oh, ow = h // s, w // s
-        windows = (
-            x.reshape(n, c, oh, s, ow, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, s * s)
-        )
-        # argmax takes the first maximum, so tie handling is deterministic
-        argmax = windows.argmax(axis=-1)
-        return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0], (argmax, x.shape)
+        first, *rest = self._views(x)
+        out = first.copy()
+        for view in rest:
+            np.maximum(view, out, out=out)
+        return out, (x, out)
 
     def backward(self, dout, ctx):
-        argmax, (n, c, h, w) = ctx
-        s = self.window
-        oh, ow = h // s, w // s
-        dwin = np.zeros((n, c, oh, ow, s * s), dtype=dout.dtype)
-        np.put_along_axis(dwin, argmax[..., None], dout[..., None], axis=-1)
-        dx = dwin.reshape(n, c, oh, ow, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        x, out = ctx
+        dx = np.zeros(x.shape, dtype=dout.dtype)
+        zero = dout.dtype.type(0)
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for view, dview in zip(self._views(x), self._views(dx)):
+            hit = view == out
+            hit &= free
+            free ^= hit
+            dview[...] = np.where(hit, dout, zero)
+        if free.any():  # only a NaN window has no position equal to its max
+            for view, dview in zip(self._views(x), self._views(dx)):
+                hit = free & np.isnan(view)
+                free ^= hit
+                np.copyto(dview, dout, where=hit)
         return dx, None
 
 

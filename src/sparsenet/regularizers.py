@@ -110,18 +110,20 @@ def l0_project(w: np.ndarray, t: int) -> np.ndarray:
 
     Minimizes ||W - W'||_2^2 subject to ||W'||_0 <= t. Ties in magnitude are
     broken by keeping the lowest flat index, so the result is deterministic
-    and idempotent. Surviving elements are copied bit-for-bit.
+    and idempotent. Surviving elements are copied bit-for-bit. The tie rule
+    assumes finite input: a NaN magnitude has no place in the order.
     """
     if t < 1:
         raise ValueError("l0 projection requires t >= 1")
     flat = w.reshape(-1)
     if t >= flat.size:
         return w.copy()
-    # stable sort on -|w| keeps the lowest index first among ties
-    keep = np.argsort(-np.abs(flat), kind="stable")[:t]
-    out = np.zeros_like(flat)
-    out[keep] = flat[keep]
-    return out.reshape(w.shape)
+    mag = np.abs(flat)
+    kth = np.partition(mag, flat.size - t)[flat.size - t]  # the t-th largest
+    keep = mag > kth
+    # fill the rest of the cap from the tie block at kth, lowest index first
+    keep[np.flatnonzero(mag == kth)[: t - np.count_nonzero(keep)]] = True
+    return np.where(keep, flat, flat.dtype.type(0)).reshape(w.shape)
 
 
 def threshold(w: np.ndarray, delta: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -89,6 +91,84 @@ class TestMaxPool:
         _, ctx = layer.forward(x)
         dx, _ = layer.backward(np.array([[[[1.0]]]]), ctx)
         npt.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _nan_canonical_bytes(a):
+    """Bytes of `a` with every NaN replaced by one NaN, so NaN compares as NaN."""
+    return np.where(np.isnan(a), a.dtype.type(np.nan), a).tobytes()
+
+
+def maxpool_naive(x, s):
+    """Python-loop reference: each window's first maximum in row-major order
+    (a NaN counts as the maximum, as argmax has it), and where it sits."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // s, w // s), dtype=x.dtype)
+    where = np.zeros((n, c, h // s, w // s, 2), dtype=int)
+    for b, ch, oi, oj in itertools.product(range(n), range(c), range(h // s), range(w // s)):
+        best = None
+        for di, dj in itertools.product(range(s), range(s)):
+            v = x[b, ch, oi * s + di, oj * s + dj]
+            if best is None or (not np.isnan(best) and (np.isnan(v) or v > best)):
+                best, pos = v, (oi * s + di, oj * s + dj)
+        out[b, ch, oi, oj], where[b, ch, oi, oj] = best, pos
+    return out, where
+
+
+def maxpool_backward_naive(dout, where, x_shape):
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for b, ch, oi, oj in np.ndindex(dout.shape):
+        dx[(b, ch, *where[b, ch, oi, oj])] = dout[b, ch, oi, oj]
+    return dx
+
+
+class TestMaxPoolOracle:
+    """The strided-view pool against argmax semantics: first maximum,
+    first NaN, and the earlier zero of a -0/+0 tie."""
+
+    VALUES = (-1.0, -0.0, 0.0, 1.0, np.nan)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["batch", "channels", "wide"])
+    def test_every_signed_zero_nan_window(self, dtype, layout):
+        wins = np.array(list(itertools.product(self.VALUES, repeat=4)), dtype=dtype)
+        k = len(wins)  # 625 windows of 2 x 2
+        if layout == "batch":
+            x = wins.reshape(k, 1, 2, 2)
+        elif layout == "channels":
+            x = wins.reshape(1, k, 2, 2)
+        else:  # windows side by side along the width
+            x = wins.reshape(k, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, 2 * k)
+        layer = MaxPool2d(2)
+        out, ctx = layer.forward(x)
+        first = wins.argmax(axis=1)
+        expect = wins[np.arange(k), first]
+        assert _nan_canonical_bytes(out.reshape(-1)) == _nan_canonical_bytes(expect)
+
+        dout = np.arange(1, k + 1, dtype=dtype).reshape(out.shape)
+        dx, _ = layer.backward(dout, ctx)
+        if layout == "wide":
+            dwin = dx.reshape(2, k, 2).transpose(1, 0, 2).reshape(k, 4)
+        else:
+            dwin = dx.reshape(k, 4)
+        expect_dwin = np.zeros((k, 4), dtype=dtype)
+        expect_dwin[np.arange(k), first] = np.arange(1, k + 1)
+        assert dwin.tobytes() == expect_dwin.tobytes()
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_ties_match_loop_reference(self, s, seed):
+        rng = rng_for(seed, "pool-oracle")
+        # few distinct values force equal-value ties inside windows
+        x = rng.integers(-2, 3, size=(2, 3, 6, 6)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[rng.random(x.shape) < 0.05] = np.nan
+        layer = MaxPool2d(s)
+        out, ctx = layer.forward(x)
+        expect, where = maxpool_naive(x, s)
+        assert _nan_canonical_bytes(out) == _nan_canonical_bytes(expect)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dx, _ = layer.backward(dout, ctx)
+        assert dx.tobytes() == maxpool_backward_naive(dout, where, x.shape).tobytes()
 
 
 class TestSoftmaxLoss:

@@ -49,6 +49,18 @@ def brute_force_l0(w: np.ndarray, t: int):
     return best_d, best_vec
 
 
+def l0_project_argsort(w: np.ndarray, t: int) -> np.ndarray:
+    """Reference l0 projection by stable argsort: sort by -|w| with ties in
+    flat-index order and keep the first t."""
+    flat = w.reshape(-1)
+    if t >= flat.size:
+        return w.copy()
+    keep = np.argsort(-np.abs(flat), kind="stable")[:t]
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return out.reshape(w.shape)
+
+
 class _FakeLayer:
     def __init__(self, weights, biases=None):
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -146,6 +158,56 @@ class TestL0Projection:
         out = l0_project(w, 15)
         dropped = w[out == 0]
         npt.assert_allclose(np.sum((w - out) ** 2), np.sum(dropped**2), rtol=1e-12)
+
+
+class TestL0ProjectMatchesArgsort:
+    """l0_project selects by partition; the stable argsort is the oracle."""
+
+    @staticmethod
+    def _check(w, t):
+        assert l0_project(w, t).tobytes() == l0_project_argsort(w, t).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 50])
+    def test_cap_inside_equal_magnitude_block(self, t):
+        # magnitudes 3, then a block of six 1.0s (signs mixed), then 0.5s
+        w = np.array([0.5, 1.0, 3.0, -1.0, 0.5, 1.0, 1.0, -3.0, -1.0, 1.0, 0.0])
+        self._check(w, t)
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_plus_minus_pairs(self, t):
+        w = np.array([[-2.0, 2.0, 0.25, -0.25], [0.25, -2.0, 2.0, -0.25]], dtype=np.float32)
+        self._check(w, t)
+
+    @pytest.mark.parametrize("t", [1, 7, 24, 25, 100])
+    def test_all_zero_layer(self, t):
+        w = np.zeros((5, 5), dtype=np.float32)
+        w[0, 1] = -0.0
+        self._check(w, t)
+
+    @pytest.mark.parametrize("t", [12, 13, 1000])
+    def test_cap_at_least_size(self, t):
+        self._check(np.random.default_rng(3).standard_normal((3, 4)), t)
+
+    def test_fc_scale_tie_block_across_cap(self):
+        rng = np.random.default_rng(41)
+        w = rng.standard_normal((50, 80)).astype(np.float32)
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[10:20] = np.where(rng.random((10, 80)) < 0.5, 0.5, -0.5)
+        nlarger = int(np.count_nonzero(np.abs(w) > 0.5))
+        for t in (nlarger - 1, nlarger + 1, nlarger + 400, nlarger + 800, 3000):
+            self._check(w, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float32, np.float64]),
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+            elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-3]),
+        ),
+        st.integers(1, 90),
+    )
+    def test_random_ties(self, w, t):
+        self._check(w, t)
 
 
 class TestThreshold:
