@@ -9,6 +9,9 @@ across runs. Layout:
         name (u16 len + utf8) | encoding u8 | weight shape (u8 ndim + u32*)
         bias shape (u8 ndim + u32*) | nnz u64 | payload_len u64 | payload
 
+The encoding byte is 0 for dense, 1 for bitmask and 2 for indexed; any
+other value fails to load.
+
 A layer's weights and biases are concatenated into one flat row-major
 vector of N values before encoding, so payload sizes equal the memory
 model's per-layer predictions exactly:
@@ -34,7 +37,10 @@ from .net import TOPOLOGIES, build_topology
 MAGIC = b"SPNC"
 VERSION = 1
 ENCODINGS = FORMATS
-_ENC_CODE = {name: i for i, name in enumerate(ENCODINGS)}
+# the on-disk encoding byte, fixed here so that FORMATS' order (the
+# best_format tie order) never changes what a stored byte means
+_ENC_CODE = {"dense": 0, "bitmask": 1, "indexed": 2}
+_ENC_NAME = {code: name for name, code in _ENC_CODE.items()}
 
 
 def _value_dtype(value_bytes: int):
@@ -202,7 +208,8 @@ def load_checkpoint(path, net=None):
         if name != layer.name:
             raise CheckpointError(f"layer name mismatch: {name!r} vs {layer.name!r}")
         (enc_code,) = r.unpack("<B", "encoding")
-        if enc_code >= len(ENCODINGS):
+        encoding = _ENC_NAME.get(enc_code)
+        if encoding is None:
             raise CheckpointError(f"unknown encoding code {enc_code}")
         shapes = []
         for what in ("weight shape", "bias shape"):
@@ -219,13 +226,13 @@ def load_checkpoint(path, net=None):
         n = int(np.prod(wshape, dtype=np.int64)) + int(np.prod(bshape, dtype=np.int64))
         if nnz > n:
             raise CheckpointError(f"{name}: nnz {nnz} exceeds parameter count {n}")
-        expected_len = format_bytes(ENCODINGS[enc_code], n, nnz, value_bytes)
+        expected_len = format_bytes(encoding, n, nnz, value_bytes)
         if payload_len != expected_len:
             raise CheckpointError(
                 f"{name}: payload length {payload_len} does not match "
-                f"{ENCODINGS[enc_code]} encoding of {n} params with {nnz} nonzeros"
+                f"{encoding} encoding of {n} params with {nnz} nonzeros"
             )
-        flat = _decode_payload(payload, ENCODINGS[enc_code], n, nnz, value_bytes)
+        flat = _decode_payload(payload, encoding, n, nnz, value_bytes)
         nw = int(np.prod(wshape, dtype=np.int64))
         dtype = layer.weights.dtype
         layer.weights = flat[:nw].reshape(wshape).astype(dtype, copy=False)

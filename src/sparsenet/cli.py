@@ -16,8 +16,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .artifacts import csv_text, write_atomic
 from .checkpoint import encode_checkpoint, load_checkpoint
@@ -78,10 +76,6 @@ def load_datasets(cfg: RunConfig, need_train: bool = True):
             cfg.synthetic_train_n, cfg.synthetic_test_n, shape=shape,
             noise=cfg.synthetic_noise, seed=cfg.seed,
         )
-    if cfg.train_limit and train_d is not None:
-        train_d = train_d.take(np.arange(min(cfg.train_limit, len(train_d))))
-    if cfg.test_limit:
-        test_d = test_d.take(np.arange(min(cfg.test_limit, len(test_d))))
     if cfg.subtract_mean:
         train_d, test_d = subtract_mean(train_d, test_d)
     return train_d, test_d

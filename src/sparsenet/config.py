@@ -12,13 +12,13 @@ parse -> serialize -> parse is the identity on RunConfig values.
 from dataclasses import dataclass, field, fields
 from typing import get_args
 
-from . import checkpoint
 from .errors import ConfigError
+from .memory import FORMATS
 from .regularizers import RegSpec, weight_decay_spec
 from .training import TrainConfig
 
 DATASETS = ("mnist", "cifar10", "synthetic_mnist", "synthetic_cifar")
-ENCODINGS = (*checkpoint.ENCODINGS, "best")
+ENCODINGS = (*FORMATS, "best")
 
 
 def _parse_bool(s: str) -> bool:
@@ -86,9 +86,6 @@ class RunConfig:
     synthetic_train_n: int = 2000
     synthetic_test_n: int = 500
     synthetic_noise: float = 0.8
-    # optional desk-scale truncation after loading
-    train_limit: int | None = None
-    test_limit: int | None = None
 
     # trainer
     batch_size: int = 50
@@ -118,17 +115,10 @@ class RunConfig:
     layers: dict = field(default_factory=dict)
 
     def to_train_config(self, max_iterations=None) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            lr_decay=self.lr_decay,
-            lr_step=self.lr_step,
-            momentum=self.momentum,
-            max_iterations=max_iterations or self.max_iterations,
-            seed=self.seed,
-            eval_interval=self.eval_interval,
-            eval_max=self.eval_max,
-        )
+        """The trainer's settings: every TrainConfig field read from this
+        config, with `max_iterations` overridden when given."""
+        values = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        return TrainConfig(**values | {"max_iterations": max_iterations or self.max_iterations})
 
     def reg_specs(self, layer_names) -> dict:
         """Per-layer RegSpec map: explicit blocks win, otherwise a global

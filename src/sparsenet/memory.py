@@ -7,12 +7,13 @@ single-precision value width:
 * bitmask : ceil(N / 8) presence bits plus the nonzero values, 4 * nnz
 * indexed : (index, value) pairs, (4 + 4) * nnz with pinned 32-bit indices
 
-CSR-style formats cost approximately the same as ``indexed`` and are not
-accounted separately. Units follow binary prefixes: KB = 2**10 bytes,
-MB = 2**20 bytes.
+``format_bytes`` is the one formula; every other byte count here, and the
+checkpoint's payload check, calls it. CSR-style formats cost approximately
+the same as ``indexed`` and are not accounted separately. Units follow
+binary prefixes: KB = 2**10 bytes, MB = 2**20 bytes.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .artifacts import csv_text
 
@@ -25,50 +26,43 @@ MB = 2**20
 FORMATS = ("dense", "bitmask", "indexed")
 
 
-def _check_counts(n: int, nnz: int) -> None:
+def format_bytes(fmt: str, n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
+    """Bytes of `n` parameters holding `nnz` nonzeros stored as `fmt`."""
     if n < 0 or nnz < 0:
         raise ValueError("parameter counts must be nonnegative")
     if nnz > n:
         raise ValueError(f"nnz {nnz} exceeds parameter count {n}")
-
-
-def bytes_dense(n: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    _check_counts(n, 0)
-    return value_bytes * n
-
-
-def bytes_bitmask(n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    _check_counts(n, nnz)
-    return (n + 7) // 8 + value_bytes * nnz
-
-
-def bytes_indexed(nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    if nnz < 0:
-        raise ValueError("nnz must be nonnegative")
-    return (INDEX_BYTES + value_bytes) * nnz
-
-
-def format_bytes(fmt: str, n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
     if fmt == "dense":
-        return bytes_dense(n, value_bytes)
+        return value_bytes * n
     if fmt == "bitmask":
-        return bytes_bitmask(n, nnz, value_bytes)
+        return (n + 7) // 8 + value_bytes * nnz
     if fmt == "indexed":
-        _check_counts(n, nnz)
-        return bytes_indexed(nnz, value_bytes)
+        return (INDEX_BYTES + value_bytes) * nnz
     raise ValueError(f"unknown storage format {fmt!r}")
 
 
+def bytes_dense(n: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
+    return format_bytes("dense", n, 0, value_bytes)
+
+
+def bytes_bitmask(n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
+    return format_bytes("bitmask", n, nnz, value_bytes)
+
+
+def bytes_indexed(nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
+    return format_bytes("indexed", nnz, nnz, value_bytes)
+
+
 def best_format(n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES):
-    """(format name, bytes) of the cheapest encoding; ties prefer dense,
-    then bitmask, matching the declaration order in FORMATS."""
-    costs = [(format_bytes(f, n, nnz, value_bytes), i, f) for i, f in enumerate(FORMATS)]
-    cost, _, fmt = min(costs)
-    return fmt, cost
+    """(format name, bytes) of the cheapest format. min keeps the first of
+    equal costs, so ties prefer dense, then bitmask, as FORMATS lists them."""
+    return min(((fmt, format_bytes(fmt, n, nnz, value_bytes)) for fmt in FORMATS),
+               key=lambda cost: cost[1])
 
 
 @dataclass
 class LayerCost:
+    # the field order is the CSV column order (CSV_HEADER)
     name: str
     param_count: int
     nnz: int
@@ -105,19 +99,11 @@ def report_from_counts(counts, value_bytes: int = SINGLE_VALUE_BYTES) -> MemoryR
     """Build a report from (name, param_count, nnz) triples."""
     rows = []
     for name, n, nnz in counts:
+        costs = {fmt: format_bytes(fmt, n, nnz, value_bytes) for fmt in FORMATS}
         fmt, best = best_format(n, nnz, value_bytes)
-        rows.append(
-            LayerCost(
-                name=name,
-                param_count=int(n),
-                nnz=int(nnz),
-                bytes_dense=bytes_dense(n, value_bytes),
-                bytes_bitmask=bytes_bitmask(n, nnz, value_bytes),
-                bytes_indexed=bytes_indexed(nnz, value_bytes),
-                best_format=fmt,
-                best_bytes=best,
-            )
-        )
+        rows.append(LayerCost(name=name, param_count=int(n), nnz=int(nnz),
+                              bytes_dense=costs["dense"], bytes_bitmask=costs["bitmask"],
+                              bytes_indexed=costs["indexed"], best_format=fmt, best_bytes=best))
     return MemoryReport(layers=rows, value_bytes=value_bytes)
 
 
@@ -134,6 +120,24 @@ def report(net) -> MemoryReport:
     return report_from_counts(counts, net.dtype.itemsize)
 
 
+CSV_HEADER = ("layer", "params", "nnz", "bytes_dense", "bytes_bitmask", "bytes_indexed",
+              "best_format", "best_bytes")
+
+# table column label -> the CSV_HEADER column it shows, in table order
+_TABLE_COLUMNS = {"layer": "layer", "params": "params", "nnz": "nnz", "dense": "bytes_dense",
+                  "bitmask": "bytes_bitmask", "indexed": "bytes_indexed", "best": "best_bytes",
+                  "best_fmt": "best_format"}
+
+
+def _rows(rep: MemoryReport) -> list:
+    """The rows of every rendering, in CSV_HEADER order: one per layer,
+    then TOTAL."""
+    rows = [astuple(r) for r in rep.layers]
+    rows.append(("TOTAL", rep.total_params, rep.total_nnz, *(rep.total(f) for f in FORMATS),
+                 "-", rep.total_best_bytes))
+    return rows
+
+
 def _fmt_amount(nbytes: int, units: str) -> str:
     if units == "bytes":
         return str(nbytes)
@@ -146,37 +150,13 @@ def _fmt_amount(nbytes: int, units: str) -> str:
 
 def render_table(rep: MemoryReport, units: str = "bytes") -> str:
     """Aligned text table with a totals row."""
-    header = ["layer", "params", "nnz", "dense", "bitmask", "indexed", "best", "best_fmt"]
-    rows = [header]
-    for r in rep.layers:
-        rows.append(
-            [
-                r.name,
-                str(r.param_count),
-                str(r.nnz),
-                _fmt_amount(r.bytes_dense, units),
-                _fmt_amount(r.bytes_bitmask, units),
-                _fmt_amount(r.bytes_indexed, units),
-                _fmt_amount(r.best_bytes, units),
-                r.best_format,
-            ]
-        )
-    rows.append(
-        [
-            "TOTAL",
-            str(rep.total_params),
-            str(rep.total_nnz),
-            _fmt_amount(rep.total("dense"), units),
-            _fmt_amount(rep.total("bitmask"), units),
-            _fmt_amount(rep.total("indexed"), units),
-            _fmt_amount(rep.total_best_bytes, units),
-            "-",
-        ]
-    )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    cols = [CSV_HEADER.index(c) for c in _TABLE_COLUMNS.values()]
+    rows = [list(_TABLE_COLUMNS)]
+    for row in _rows(rep):
+        rows.append([_fmt_amount(row[i], units) if "bytes" in CSV_HEADER[i] else str(row[i])
+                     for i in cols])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
     unit_label = {"bytes": "bytes", "kb": "KB (2^10 bytes)", "mb": "MB (2^20 bytes)"}[units]
     lines.append(f"(amounts in {unit_label})")
     return "\n".join(lines)
@@ -184,9 +164,4 @@ def render_table(rep: MemoryReport, units: str = "bytes") -> str:
 
 def to_csv(rep: MemoryReport) -> str:
     """CSV rows in bytes, one line per layer plus a TOTAL line."""
-    rows = [(r.name, r.param_count, r.nnz, r.bytes_dense, r.bytes_bitmask, r.bytes_indexed,
-             r.best_format, r.best_bytes) for r in rep.layers]
-    rows.append(("TOTAL", rep.total_params, rep.total_nnz, rep.total("dense"),
-                 rep.total("bitmask"), rep.total("indexed"), "-", rep.total_best_bytes))
-    return csv_text(["layer", "params", "nnz", "bytes_dense", "bytes_bitmask", "bytes_indexed",
-                     "best_format", "best_bytes"], rows)
+    return csv_text(CSV_HEADER, _rows(rep))

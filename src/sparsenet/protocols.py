@@ -171,22 +171,15 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
             f"target {target_nnz} below minimum feasible {min_feasible} (all caps at 1)"
         )
 
+    def record(round_no, layer_reduced, plan, net, val_acc, adopted=False):
+        test_acc = evaluate_accuracy(net, test_data) if test_data is not None else float("nan")
+        return CandidateRecord(round_no, layer_reduced, plan, plan.total_nnz(base_net), val_acc,
+                               test_acc, report(net).total_best_bytes, adopted)
+
     caps = {l.name: max(1, int(np.count_nonzero(l.weights))) for l in layers}
     incumbent = base_net.clone()
-    plan = SparsityPlan(dict(caps))
-    records = [
-        CandidateRecord(
-            round=0,
-            layer_reduced="-",
-            plan=plan,
-            total_nnz=plan.total_nnz(base_net),
-            val_acc=evaluate_accuracy(incumbent, val_data),
-            test_acc=(evaluate_accuracy(incumbent, test_data) if test_data is not None
-                      else float("nan")),
-            memory_bytes=report(incumbent).total_best_bytes,
-            adopted=True,
-        )
-    ]
+    records = [record(0, "-", SparsityPlan(dict(caps)), incumbent,
+                      evaluate_accuracy(incumbent, val_data), adopted=True)]
 
     candidate_index = 0
     round_no = 0
@@ -210,20 +203,8 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
             )
         results = _run_tasks(task_args, train_data, val_data, jobs)
 
-        round_records = [
-            CandidateRecord(
-                round=round_no,
-                layer_reduced=name,
-                plan=cand_plan,
-                total_nnz=cand_plan.total_nnz(base_net),
-                val_acc=val_acc,
-                test_acc=(evaluate_accuracy(net, test_data) if test_data is not None
-                          else float("nan")),
-                memory_bytes=report(net).total_best_bytes,
-                adopted=False,
-            )
-            for name, cand_plan, (net, val_acc) in zip(reducible, plans, results)
-        ]
+        round_records = [record(round_no, name, cand_plan, net, val_acc)
+                         for name, cand_plan, (net, val_acc) in zip(reducible, plans, results)]
         # ties prefer the cut leaving the most parameters, then layer order
         best = max(range(len(round_records)), key=lambda pos: (
             round_records[pos].val_acc, plans[pos].caps[reducible[pos]], -pos))

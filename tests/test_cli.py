@@ -5,7 +5,7 @@ import pytest
 
 from sparsenet import cli
 from sparsenet.checkpoint import encode_checkpoint, save_checkpoint
-from sparsenet.cli import EXIT_CONFIG, EXIT_IO, main
+from sparsenet.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from sparsenet.datasets import write_cifar_batch, write_idx_images, write_idx_labels
 from sparsenet.net import build_topology
 from sparsenet.synthetic import as_uint8, make_synthetic_pair
@@ -196,6 +196,22 @@ class TestExitCodes:
     def test_eval_without_checkpoint_key(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["sparsify-greedy", "threshold-compare", "ensemble",
+                                         "data-sweep"])
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys, command):
+        key = REQUIRED[command].split(" = ")[0]
+        cfg = write_cfg(tmp_path, BASE)
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.txt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    def test_diverging_train_is_numeric_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE.replace("learning_rate = 0.1", "learning_rate = 1e30"))
+        assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
 class TestFileBackedDatasets:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sparsenet.config import (
@@ -7,6 +9,7 @@ from sparsenet.config import (
     validate_layer_names,
 )
 from sparsenet.errors import ConfigError
+from sparsenet.training import TrainConfig
 
 MINIMAL = """
 dataset = synthetic_cifar
@@ -65,6 +68,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words\n")
 
+    @pytest.mark.parametrize("text,match", [
+        ("[section]\n", "line 1: malformed section header"),
+        ("seed = 1\n[layer:fc1\n", "line 2: malformed section header"),
+        ("[layer:]\n", "line 1: empty layer name"),
+        ("[layer:fc1]\nt = 3\n[layer:fc1]\n", "line 3: duplicate layer section 'fc1'"),
+    ])
+    def test_bad_section_header(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["train_limit", "test_limit"])
+    def test_removed_limit_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 100\n")
+
     def test_bad_value_positioned(self):
         with pytest.raises(ConfigError, match="line 2.*seed"):
             parse_config("batch_size = 8\nseed = soon\n")
@@ -118,6 +136,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fc9"):
             bad = parse_config(MINIMAL.replace("fc1", "fc9"))
             validate_layer_names(bad, ["conv1", "fc1", "fc2"])
+
+    def test_train_config_reads_every_trainer_field(self):
+        cfg = parse_config("batch_size = 7\nlearning_rate = 0.5\nlr_decay = 0.9\nlr_step = 11\n"
+                           "momentum = 0.3\nmax_iterations = 13\nseed = 17\n"
+                           "eval_interval = 19\neval_max = 23\n")
+        expect = TrainConfig(batch_size=7, learning_rate=0.5, lr_decay=0.9, lr_step=11,
+                             momentum=0.3, max_iterations=13, seed=17, eval_interval=19,
+                             eval_max=23)
+        assert cfg.to_train_config() == expect
+        assert cfg.to_train_config(max_iterations=5) == replace(expect, max_iterations=5)
 
     def test_train_config_fields_validated(self):
         with pytest.raises(ConfigError):

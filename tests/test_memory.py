@@ -8,6 +8,7 @@ from sparsenet.memory import (
     bytes_bitmask,
     bytes_dense,
     bytes_indexed,
+    format_bytes,
     render_table,
     report,
     report_from_counts,
@@ -68,6 +69,28 @@ class TestFormulas:
         for nnz in range(0, 200):
             expect = (n + 7) // 8 < 4 * nnz
             assert (bytes_bitmask(n, nnz) < bytes_indexed(nnz)) == expect
+
+    @pytest.mark.parametrize("call", [
+        lambda: format_bytes("dense", -1, 0),
+        lambda: format_bytes("bitmask", 10, -1),
+        lambda: format_bytes("indexed", 10, 11),
+        lambda: format_bytes("csr", 10, 1),
+        lambda: bytes_indexed(-1),
+    ], ids=["negative_n", "negative_nnz", "nnz_above_n", "unknown_format", "indexed_negative"])
+    def test_bad_counts_and_formats_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_best_format_ties_follow_format_order(self):
+        # 31 of 32: dense 128 == bitmask 4 + 124; 1 of 32: bitmask 4 + 4 == indexed 8
+        assert best_format(32, 31) == ("dense", 128) == ("dense", bytes_bitmask(32, 31))
+        assert best_format(32, 1) == ("bitmask", 8) == ("bitmask", bytes_indexed(1))
+        for n in range(0, 65):
+            for nnz in range(n + 1):
+                costs = [format_bytes(f, n, nnz) for f in memory.FORMATS]
+                fmt, cost = best_format(n, nnz)
+                assert cost == min(costs)
+                assert fmt == memory.FORMATS[costs.index(cost)]
 
     def test_double_precision_mode(self):
         assert bytes_dense(10, value_bytes=8) == 80
@@ -140,6 +163,19 @@ class TestReport:
         assert lines[0].startswith("layer,params,nnz")
         assert lines[1].startswith("a,1000,100,4000,525,800,bitmask,525")
         assert lines[-1].startswith("TOTAL,")
+
+    def test_table_rows_carry_the_csv_numbers(self):
+        rep = report_from_counts([("conv1", 2432, 2432), ("conv2", 25632, 3000),
+                                  ("fc1", 400500, 401), ("fc2", 5010, 0), ("tie", 1024, 512)])
+        table = render_table(rep, units="bytes").splitlines()
+        csv = to_csv(rep).strip().splitlines()
+        assert table[-1] == "(amounts in bytes)"
+        assert len(table) - 1 == len(csv) == len(rep.layers) + 2
+        # the table shows the CSV columns with best bytes before best format
+        for t, c in zip(table[1:], csv[1:]):
+            cells = c.split(",")
+            assert t.split() == cells[:6] + [cells[7], cells[6]]
+        assert table[-2].split()[0] == csv[-1].split(",")[0] == "TOTAL"
 
     def test_units(self):
         assert memory._fmt_amount(2048, "kb") == "2.00"

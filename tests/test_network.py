@@ -313,17 +313,73 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="nnz"):
             load_checkpoint(p, toy_net(dtype=np.float32))
 
+    @pytest.mark.parametrize("encoding,code", [("dense", 0), ("bitmask", 1), ("indexed", 2)])
+    def test_encoding_byte_on_disk(self, lenet_blobs, encoding, code):
+        net = build_lenet_small()
+        blob, _ = lenet_blobs[encoding]
+        for layer, pos in zip(net.param_layers(), _layer_offsets(net, blob)):
+            assert blob[pos + len(checkpoint._pack_str(layer.name))] == code
+
+    def test_unknown_encoding_byte(self, tmp_path, lenet_blobs):
+        net = build_lenet_small()
+        raw = bytearray(lenet_blobs["dense"][0])
+        raw[_layer_offsets(net, raw)[0] + len(checkpoint._pack_str("conv1"))] = 3
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="unknown encoding code 3"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes(self, tmp_path, lenet_blobs):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(lenet_blobs["indexed"][0] + b"\0")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("encoding", ["dense", "bitmask", "indexed"])
+    def test_decode_checks_nnz_against_payload(self, encoding):
+        # popcount, nonzero count and pair count; load_checkpoint's length
+        # check already rejects a wrong indexed nnz, so the pair count is
+        # reached only by calling the decoder directly
+        flat = np.array([0.0, 1.5, 0.0, -2.0, 3.0], dtype=np.float32)
+        payload = checkpoint._encode_payload(flat, encoding, 4)
+        npt.assert_array_equal(checkpoint._decode_payload(payload, encoding, 5, 3, 4), flat)
+        with pytest.raises(CheckpointError, match="nnz inconsistency"):
+            checkpoint._decode_payload(payload, encoding, 5, 2, 4)
+
+    def test_indexed_nnz_disagreeing_with_pair_count(self, tmp_path, lenet_blobs):
+        # one pair fewer in the header than in the payload: the payload
+        # length no longer matches the indexed encoding of that nnz
+        net = build_lenet_small()
+        raw = bytearray(lenet_blobs["indexed"][0])
+        head = checkpoint._layer_header(net.layer("conv1"), "indexed")
+        pos = _layer_offsets(net, raw)[0] + len(head)
+        (nnz,) = struct.unpack_from("<Q", raw, pos)
+        struct.pack_into("<Q", raw, pos, nnz - 1)
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="payload length"):
+            load_checkpoint(p)
+
+
+def _layer_offsets(net, blob):
+    """Offset of each layer's record (its name field) in `blob`, a checkpoint of `net`."""
+    pos = len(checkpoint.MAGIC) + 3 + len(checkpoint._pack_str(net.topology)) + 4
+    starts = []
+    for layer in net.param_layers():
+        starts.append(pos)
+        head = len(checkpoint._layer_header(layer, "dense")) + 16
+        (payload_len,) = struct.unpack_from("<Q", blob, pos + head - 8)
+        pos += head + payload_len
+    assert pos == len(blob)
+    return starts
+
 
 def _header_offsets(net, blob):
     """Offsets of every byte of `blob` (a checkpoint of `net`) outside the payloads."""
-    pos = len(checkpoint.MAGIC) + 3 + len(checkpoint._pack_str(net.topology)) + 4
-    offsets = list(range(pos))
-    for layer in net.param_layers():
-        head = len(checkpoint._layer_header(layer, "dense")) + 16
-        (payload_len,) = struct.unpack_from("<Q", blob, pos + head - 8)
-        offsets += range(pos, pos + head)
-        pos += head + payload_len
-    assert pos == len(blob)
+    starts = _layer_offsets(net, blob)
+    offsets = list(range(starts[0]))
+    for layer, pos in zip(net.param_layers(), starts):
+        offsets += range(pos, pos + len(checkpoint._layer_header(layer, "dense")) + 16)
     return offsets
 
 
