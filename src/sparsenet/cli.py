@@ -103,8 +103,6 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 
 
 def cmd_eval(cfg: RunConfig, args) -> dict:
-    if not cfg.checkpoint:
-        raise ConfigError("eval requires checkpoint=PATH in the config")
     _, test_d = load_datasets(cfg, need_train=False)
     net = load_checkpoint(cfg.checkpoint)
     print(f"test_accuracy={evaluate_accuracy(net, test_d)}")
@@ -129,14 +127,12 @@ def _trained_dense(cfg: RunConfig, train_d, test_d):
 
 
 def cmd_sparsify_greedy(cfg: RunConfig, args) -> dict:
-    if cfg.target_nnz is None:
-        raise ConfigError("sparsify-greedy requires target_nnz in the config")
     train_d, test_d = load_datasets(cfg)
     train_part, val_part = split_validation(train_d, cfg.seed, cfg.validation_fraction)
     base = _trained_dense(cfg, train_part, test_d)
     net, plan, records = greedy_sparsify(
         base, train_part, val_part, cfg.target_nnz,
-        cfg.to_train_config(max_iterations=cfg.candidate_iterations),
+        dataclasses.replace(cfg.to_train_config(), max_iterations=cfg.candidate_iterations),
         test_data=test_d, jobs=args.jobs,
     )
     print(f"plan={plan.caps} total_nnz={plan.total_nnz(net)}")
@@ -145,20 +141,17 @@ def cmd_sparsify_greedy(cfg: RunConfig, args) -> dict:
 
 
 def cmd_threshold_compare(cfg: RunConfig, args) -> dict:
-    if not cfg.threshold_grid:
-        raise ConfigError("threshold-compare requires threshold_grid in the config")
     train_d, test_d = load_datasets(cfg)
     dense = _trained_dense(cfg, train_d, test_d)
+    retrain = cfg.max_iterations if cfg.retrain_iterations is None else cfg.retrain_iterations
     rows = threshold_compare(
         dense, cfg.threshold_grid, train_d, test_d,
-        cfg.to_train_config(max_iterations=cfg.retrain_iterations or cfg.max_iterations),
+        dataclasses.replace(cfg.to_train_config(), max_iterations=retrain),
     )
     return {"threshold_compare.csv": csv_text(THRESHOLD_COMPARE_HEADER, rows)}
 
 
 def cmd_ensemble(cfg: RunConfig, args) -> dict:
-    if not cfg.plan_log:
-        raise ConfigError("ensemble requires plan_log=PATH (a candidate-log CSV)")
     records = candidate_log_from_csv(Path(cfg.plan_log).read_text())
     probe = build_topology(cfg.topology, seed=cfg.seed)
     for i, record in enumerate(records, start=1):
@@ -185,8 +178,6 @@ def cmd_ensemble(cfg: RunConfig, args) -> dict:
 
 
 def cmd_data_sweep(cfg: RunConfig, args) -> dict:
-    if not cfg.fractions:
-        raise ConfigError("data-sweep requires fractions in the config")
     train_d, test_d = load_datasets(cfg)
     probe = build_topology(cfg.topology, seed=cfg.seed)
     # dense regime ignores the layer blocks; sparse regime is exactly them
@@ -210,14 +201,24 @@ _DISPATCH = {
     "data-sweep": cmd_data_sweep,
 }
 
+# the config key each command cannot run without
+_REQUIRED_KEY = {
+    "eval": "checkpoint",
+    "sparsify-greedy": "target_nnz",
+    "threshold-compare": "threshold_grid",
+    "ensemble": "plan_log",
+    "data-sweep": "fractions",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsenet")
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to a run config file")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel candidate trainings (sparsify-greedy only)")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="train greedy candidates on up to N threads, at most one per "
+                             "candidate; results do not depend on N (sparsify-greedy only)")
     parser.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
     units = parser.add_mutually_exclusive_group()
     units.add_argument("--bytes", dest="units", action="store_const", const="bytes")
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.jobs < 1 or (args.jobs != 1 and args.command != "sparsify-greedy"):
             raise ConfigError(f"--jobs {args.jobs}: sparsify-greedy takes >= 1, other commands 1")
+        key = _REQUIRED_KEY.get(args.command)
+        if key and getattr(cfg, key) in (None, "", ()):
+            raise ConfigError(f"{args.command} requires {key} in the config")
         validate_layer_names(cfg, _layer_names(build_topology(cfg.topology)))
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -114,11 +114,9 @@ class RunConfig:
 
     layers: dict = field(default_factory=dict)
 
-    def to_train_config(self, max_iterations=None) -> TrainConfig:
-        """The trainer's settings: every TrainConfig field read from this
-        config, with `max_iterations` overridden when given."""
-        values = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
-        return TrainConfig(**values | {"max_iterations": max_iterations or self.max_iterations})
+    def to_train_config(self) -> TrainConfig:
+        """The trainer's settings: every TrainConfig field read from this config."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def reg_specs(self, layer_names) -> dict:
         """Per-layer RegSpec map: explicit blocks win, otherwise a global
@@ -200,6 +198,10 @@ def _validate(cfg: RunConfig) -> None:
         )
     if not 0.0 < cfg.validation_fraction < 1.0:
         raise ConfigError("validation_fraction must be in (0, 1)")
+    if cfg.candidate_iterations < 1:
+        raise ConfigError("candidate_iterations must be >= 1")
+    if cfg.retrain_iterations is not None and cfg.retrain_iterations < 1:
+        raise ConfigError("retrain_iterations must be >= 1")
     try:
         cfg.to_train_config()
     except ValueError as e:

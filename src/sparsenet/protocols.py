@@ -14,7 +14,7 @@ apply to weights only), so budgets line up with the memory model's
 parameter counts.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,32 +119,19 @@ def _reduced_cap(t: int) -> int:
     return (4 * t + 4) // 5
 
 
-_WORKER_DATA = {}
-
-
-def _worker_init(train_data, val_data):
-    _WORKER_DATA["train"] = train_data
-    _WORKER_DATA["val"] = val_data
-
-
-def _candidate_task(args):
-    net, cfg, specs = args
-    net, _ = train(net, _WORKER_DATA["train"], cfg, reg_specs=specs)
-    val_acc = evaluate_accuracy(net, _WORKER_DATA["val"])
-    return net, val_acc
-
-
 def _run_tasks(task_args, train_data, val_data, jobs: int):
+    """Train and validate each (net, cfg, specs) candidate, in order; up to
+    `jobs` at a time on threads. Each task owns its net, and numpy releases
+    the GIL in its BLAS and ufunc loops."""
+    def task(args):
+        net, cfg, specs = args
+        net, _ = train(net, train_data, cfg, reg_specs=specs)
+        return net, evaluate_accuracy(net, val_data)
+
     if jobs <= 1:
-        _worker_init(train_data, val_data)
-        try:
-            return [_candidate_task(a) for a in task_args]
-        finally:
-            _WORKER_DATA.clear()
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(train_data, val_data)
-    ) as pool:
-        return list(pool.map(_candidate_task, task_args))
+        return list(map(task, task_args))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, task_args))
 
 
 def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz: int,

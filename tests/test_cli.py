@@ -193,18 +193,28 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, BASE + f"init_checkpoint = {bad}\n")
         assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
 
-    def test_eval_without_checkpoint_key(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE)
-        assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("command", ["sparsify-greedy", "threshold-compare", "ensemble",
-                                         "data-sweep"])
+    @pytest.mark.parametrize("command", ["eval", "sparsify-greedy", "threshold-compare",
+                                         "ensemble", "data-sweep"])
     def test_missing_required_key_is_config_error(self, tmp_path, capsys, command):
         key = REQUIRED[command].split(" = ")[0]
         cfg = write_cfg(tmp_path, BASE)
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
-        assert not (tmp_path / "o" / "manifest.txt").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,key", [("sparsify-greedy", "candidate_iterations"),
+                                             ("threshold-compare", "retrain_iterations")])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bad_iteration_count_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 command, key, value):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a bad config must fail before any training")
+
+        monkeypatch.setattr(cli, "train", no_train)
+        cfg = write_cfg(tmp_path, BASE + REQUIRED[command] + f"{key} = {value}\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_train_is_numeric_error(self, tmp_path, capsys):
@@ -315,6 +325,23 @@ class TestProtocolCommands:
         lines = (out / "threshold_compare.csv").read_text().strip().splitlines()
         assert lines[0] == "delta,total_nnz,acc_threshold,acc_retrained"
         assert len(lines) == 3
+
+    def test_threshold_compare_starts_from_init_checkpoint(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE)
+        assert run(["train", "--config", cfg, "--out", tmp_path / "dense"]) == 0
+        ckpt = tmp_path / "dense" / "model.ckpt"
+        trained_acc = capsys.readouterr().out.strip().splitlines()[-1].split("=", 1)[1]
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("init_checkpoint is the dense model: nothing retrains it")
+
+        monkeypatch.setattr(cli, "train", no_train)
+        cfg = write_cfg(tmp_path, BASE + f"init_checkpoint = {ckpt}\nthreshold_grid = 0.0\n",
+                        "thr.cfg")
+        assert run(["threshold-compare", "--config", cfg, "--out", tmp_path / "thr"]) == 0
+        rows = (tmp_path / "thr" / "threshold_compare.csv").read_text().splitlines()
+        # delta 0.0 zeroes nothing, so both accuracies are the checkpoint's own
+        assert rows[1].split(",")[2:] == [trained_acc, trained_acc]
 
     def test_data_sweep_cmd(self, tmp_path):
         cfg = write_cfg(

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from sparsenet.config import (
@@ -145,7 +143,16 @@ class TestValidation:
                              momentum=0.3, max_iterations=13, seed=17, eval_interval=19,
                              eval_max=23)
         assert cfg.to_train_config() == expect
-        assert cfg.to_train_config(max_iterations=5) == replace(expect, max_iterations=5)
+
+    @pytest.mark.parametrize("text,match", [
+        ("subtract_mean = yes\n", "expected true/false"),
+        ("checkpoint_encoding = sparse\n", "unknown checkpoint_encoding"),
+        ("validation_fraction = 0.0\n", r"validation_fraction must be in \(0, 1\)"),
+        ("validation_fraction = 1.0\n", r"validation_fraction must be in \(0, 1\)"),
+    ])
+    def test_rejects_bad_global_value(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
 
     def test_train_config_fields_validated(self):
         with pytest.raises(ConfigError):

@@ -126,6 +126,16 @@ def _toy_dataset(n=40, seed=0, value=None):
     return Dataset(images=images, labels=rng.integers(0, 10, size=n), class_count=10)
 
 
+@pytest.mark.parametrize("images,labels,error,match", [
+    (np.zeros((3, 4, 4)), np.zeros(3, dtype=int), ShapeError, r"\(n, c, h, w\)"),
+    (np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=int), DataFormatError, "count mismatch"),
+    (np.zeros((3, 1, 4, 4)), np.array([0, 1, 10]), DataFormatError, "out of range"),
+], ids=["3d_images", "count_mismatch", "label_at_class_count"])
+def test_dataset_rejects_bad_arrays(images, labels, error, match):
+    with pytest.raises(error, match=match):
+        Dataset(images=images, labels=labels, class_count=10)
+
+
 class TestSubtractMean:
     def test_constant_dataset_goes_to_zero(self):
         train, test = _toy_dataset(value=0.25), _toy_dataset(value=0.25)
@@ -238,6 +248,11 @@ class TestSplitValidation:
         assert len(train) == 90 and len(val) == 10
         train_bytes = {img.tobytes() for img in train.images}
         assert all(img.tobytes() not in train_bytes for img in val.images)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_rejects_bad_fraction(self, fraction):
+        with pytest.raises(ValueError, match="validation fraction"):
+            split_validation(_toy_dataset(), seed=0, fraction=fraction)
 
 
 class TestSynthetic:

@@ -71,6 +71,10 @@ class TestTopologies:
         with pytest.raises(ValueError):
             build_topology("alexnet")
 
+    def test_unknown_layer_name(self):
+        with pytest.raises(KeyError, match="no parameterized layer named 'fc9'"):
+            build_lenet_small().layer("fc9")
+
 
 class TestForward:
     def test_zero_weights_give_uniform_probs(self):
@@ -108,6 +112,8 @@ class TestForward:
 class TestBackward:
     def test_requires_forward_first(self):
         net = toy_net()
+        with pytest.raises(RuntimeError, match="loss"):
+            net.loss(np.array([0, 1]))
         with pytest.raises(RuntimeError):
             net.backward(np.array([0, 1]))
 
@@ -319,6 +325,10 @@ class TestCheckpoints:
         blob, _ = lenet_blobs[encoding]
         for layer, pos in zip(net.param_layers(), _layer_offsets(net, blob)):
             assert blob[pos + len(checkpoint._pack_str(layer.name))] == code
+
+    def test_unknown_encoding_name(self):
+        with pytest.raises(CheckpointError, match="unknown encoding 'sparse'"):
+            encode_checkpoint(build_lenet_small(), "sparse")
 
     def test_unknown_encoding_byte(self, tmp_path, lenet_blobs):
         net = build_lenet_small()

@@ -1,4 +1,5 @@
-import pickle
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -6,15 +7,14 @@ import pytest
 
 from conftest import small_net
 from sparsenet.datasets import split_validation
-from sparsenet.net import build_lenet_small
+from sparsenet.errors import NumericError
+from sparsenet.layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
+from sparsenet.net import Network
 from sparsenet.protocols import (
     CandidateRecord,
     EnsembleModel,
     SparsityPlan,
-    _candidate_task,
-    _WORKER_DATA,
     _reduced_cap,
-    _worker_init,
     candidate_log_csv,
     candidate_log_from_csv,
     data_starvation_sweep,
@@ -26,6 +26,7 @@ from sparsenet.protocols import (
     train_ensemble,
 )
 from sparsenet.regularizers import RegSpec
+from sparsenet.seeding import rng_for
 from sparsenet.synthetic import make_synthetic_pair
 from sparsenet.training import TrainConfig, evaluate_accuracy, train
 
@@ -115,14 +116,6 @@ class TestGreedy:
                 diff = [k for k in prev_caps if rec.plan.caps[k] != prev_caps[k]]
                 assert diff == [rec.layer_reduced]
 
-    def test_jobs1_run_releases_datasets(self, task):
-        train_d, _ = task
-        train_part, val_part = split_validation(train_d, seed=1)
-        base = small_net(seed=32)
-        target = base.nnz() - 1
-        greedy_sparsify(base, train_part, val_part, target, quick_cfg(max_iterations=5), jobs=1)
-        assert _WORKER_DATA == {}
-
     def test_target_below_feasible_errors(self, task):
         train_d, _ = task
         train_part, val_part = split_validation(train_d, seed=1)
@@ -130,15 +123,15 @@ class TestGreedy:
         with pytest.raises(ValueError, match="minimum feasible"):
             greedy_sparsify(base, train_part, val_part, 1, quick_cfg())
 
-    def test_candidate_result_pickles_without_caches(self):
-        # a pool pickles every candidate back to the parent: its weights and
-        # biases, not the activations of its training or validation passes
-        train_d, val_d = make_synthetic_pair(40, 50, shape=(1, 28, 28), seed=4)
-        net = build_lenet_small(seed=0)
-        param_bytes = sum(l.weights.nbytes + l.biases.nbytes for l in net.param_layers())
-        _worker_init(train_d, val_d)
-        cfg = quick_cfg(batch_size=10, max_iterations=2, eval_interval=2, eval_max=10)
-        assert len(pickle.dumps(_candidate_task((net, cfg, {})))) < 3 * param_bytes
+    def test_no_reducible_cap_errors(self, task):
+        # caps of at most 4 cannot shrink: ceil(0.8 * t) == t
+        train_part, val_part = split_validation(task[0], seed=1)
+        base = small_net(seed=31)
+        for layer in base.param_layers():
+            layer.weights.flat[4:] = 0.0
+        bias = sum(l.biases.size for l in base.param_layers())
+        with pytest.raises(ValueError, match="no layer cap reducible"):
+            greedy_sparsify(base, train_part, val_part, 4 + bias, quick_cfg())
 
     def test_log_csv_roundtrip(self, task):
         net = small_net()
@@ -152,6 +145,79 @@ class TestGreedy:
         assert back[0].plan.caps == plan.caps
         assert back[0].val_acc == 0.5
         assert back[0].adopted
+
+
+def three_layer_net(seed):
+    """small_net with a hidden fc layer: three candidates per greedy round."""
+    rng = rng_for(seed, "three-layer-net")
+    layers = [
+        Conv2d("conv1", 1, 4, 3, pad=1, init_std=0.1, rng=rng),
+        ReLU(),
+        MaxPool2d(2),
+        Linear("fc1", 4 * 4 * 4, 16, init_std=0.1, rng=rng),
+        ReLU(),
+        Linear("fc2", 16, 4, init_std=0.1, rng=rng),
+    ]
+    return Network(layers, SoftmaxCrossEntropy(), "three_layer", (1, 8, 8))
+
+
+@pytest.fixture(scope="module")
+def greedy_inputs(task):
+    """A briefly trained three-layer net and the train/validation split it starts from."""
+    train_part, val_part = split_validation(task[0], seed=1)
+    base, _ = train(three_layer_net(seed=35), train_part, quick_cfg(max_iterations=100, seed=17))
+    return base, train_part, val_part
+
+
+class TestGreedyJobs:
+    def test_results_do_not_depend_on_jobs(self, greedy_inputs):
+        base, train_part, val_part = greedy_inputs
+
+        def fingerprint(jobs):
+            net, plan, records = greedy_sparsify(base, train_part, val_part,
+                                                 int(base.nnz() * 0.6),
+                                                 quick_cfg(max_iterations=30, seed=51), jobs=jobs)
+            assert max(r.round for r in records) >= 2
+            names = [l.name for l in net.param_layers()]
+            weights = b"".join(l.weights.tobytes() + l.biases.tobytes()
+                               for l in net.param_layers())
+            return plan.caps, candidate_log_csv(records, names), weights
+
+        ref = fingerprint(1)
+        # jobs=3 runs one thread per candidate, more than the machine may have
+        # cores; a short switch interval interleaves them as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in (2, 3):
+                assert fingerprint(jobs) == ref, f"jobs={jobs}"
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    def test_diverging_candidate_raises_numeric_error(self, greedy_inputs):
+        base, train_part, val_part = greedy_inputs
+        with pytest.raises(NumericError, match="non-finite"):
+            greedy_sparsify(base, train_part, val_part, base.nnz() - 1,
+                            quick_cfg(learning_rate=1e30), jobs=2)
+
+    @pytest.mark.parametrize("jobs,low,high", [(1, 0, 0), (8, 1, 2)])
+    def test_at_most_one_thread_per_candidate(self, task, monkeypatch, jobs, low, high):
+        train_part, val_part = split_validation(task[0], seed=1)
+        base = small_net(seed=36)
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        # any one cut reaches the target, so one round of two candidates runs
+        _, _, records = greedy_sparsify(base, train_part, val_part, base.nnz() - 1,
+                                        quick_cfg(max_iterations=5), jobs=jobs)
+        assert sum(r.round == 1 for r in records) == 2
+        assert low <= len(started) <= high
 
 
 class TestThresholdCompare:
@@ -301,6 +367,15 @@ class TestEnsembles:
     def test_empty_ensemble_errors(self):
         with pytest.raises(ValueError):
             EnsembleModel(members=[], plans=[], budget=10)
+
+    def test_over_budget_errors(self):
+        net = small_net()
+        with pytest.raises(ValueError, match="exceeds budget"):
+            EnsembleModel(members=[net, net], plans=[None, None], budget=2 * net.nnz() - 1)
+
+    def test_zero_members_errors(self, task):
+        with pytest.raises(ValueError, match="ensemble size must be >= 1"):
+            train_ensemble(0, 10**6, [], task[0], quick_cfg(), small_net)
 
 
 class TestDataStarvation:

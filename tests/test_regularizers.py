@@ -244,11 +244,32 @@ class TestRegSpec:
             with pytest.raises(ValueError, match="strictly increasing"):
                 RegSpec(kind="l0_projection", t=100, stages=stages)
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(kind="l2_decay", strength=-0.1), "strength must be >= 0"),
+        (dict(kind="l0_projection", t=10, period=0), "period >= 1"),
+        (dict(kind="l1_shrinkage", strength=0.1, stages=((10, 5),)), "only apply to l0"),
+        (dict(kind="l0_projection", t=10, stages=((10, 0),)), "staged caps must be >= 1"),
+    ])
+    def test_rejects_bad_fields(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            RegSpec(**kw)
+
     def test_staged_caps(self):
         spec = RegSpec(kind="l0_projection", t=100, stages=((10, 50), (20, 25)))
         assert spec.effective_t(5) == 100
         assert spec.effective_t(10) == 50
         assert spec.effective_t(99) == 25
+
+
+@pytest.mark.parametrize("op,arg,match", [
+    (l1_subgradient_update, 0.0, "delta > 0"),
+    (l1_shrinkage_update, -1.0, "delta > 0"),
+    (l0_project, 0, "t >= 1"),
+    (threshold, -0.1, "delta >= 0"),
+])
+def test_operator_rejects_bad_parameter(op, arg, match):
+    with pytest.raises(ValueError, match=match):
+        op(np.ones(4, dtype=np.float32), arg)
 
 
 class TestApplyRegularization:

@@ -90,6 +90,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(lr_decay=0.0), "invalid schedule"),
+        (dict(lr_step=0), "invalid schedule"),
+        (dict(max_iterations=0), "invalid schedule"),
+        (dict(eval_interval=0), "eval_interval and eval_max"),
+        (dict(eval_max=0), "eval_interval and eval_max"),
+    ])
+    def test_schedule_and_eval_bounds(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**kw)
+
 
 def _grad_flat(grads):
     return np.concatenate(
@@ -145,6 +156,11 @@ class TestTrainLoop:
         data = small_data(n=10)
         with pytest.raises(ValueError, match="smaller than batch"):
             train(net, data, TrainConfig(batch_size=16, max_iterations=5))
+
+    def test_spec_for_unknown_layer(self):
+        with pytest.raises(KeyError, match="unknown layer 'fc9'"):
+            train(small_net(), small_data(n=40), TrainConfig(batch_size=8, max_iterations=1),
+                  reg_specs={"fc9": RegSpec(kind="l2_decay", strength=0.1)})
 
     def test_loss_decreases_with_l2_baseline(self, small_pair):
         train_d, _ = small_pair
