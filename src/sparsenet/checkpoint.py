@@ -57,12 +57,11 @@ def _encode_payload(flat: np.ndarray, encoding: str, value_bytes: int) -> bytes:
         mask = np.zeros(flat.size, dtype=np.uint8)
         mask[nz] = 1
         return np.packbits(mask, bitorder="little").tobytes() + values.tobytes()
-    if encoding == "indexed":
-        pairs = np.empty(len(nz), dtype=np.dtype([("idx", "<u4"), ("val", vdt)]))
-        pairs["idx"] = nz
-        pairs["val"] = values
-        return pairs.tobytes()
-    raise CheckpointError(f"unknown encoding {encoding!r}")
+    # indexed: encode_checkpoint admits only ENCODINGS
+    pairs = np.empty(len(nz), dtype=np.dtype([("idx", "<u4"), ("val", vdt)]))
+    pairs["idx"] = nz
+    pairs["val"] = values
+    return pairs.tobytes()
 
 
 def _decode_payload(payload: bytes, encoding: str, n: int, nnz: int, value_bytes: int):
@@ -82,15 +81,14 @@ def _decode_payload(payload: bytes, encoding: str, n: int, nnz: int, value_bytes
             raise CheckpointError("nnz inconsistency: bitmask popcount disagrees with header")
         flat[mask.astype(bool)] = np.frombuffer(payload[mask_bytes:], dtype=vdt)
         return flat
-    if encoding == "indexed":
-        pairs = np.frombuffer(payload, dtype=np.dtype([("idx", "<u4"), ("val", vdt)]))
-        if len(pairs) != nnz:
-            raise CheckpointError("nnz inconsistency: pair count disagrees with header")
-        if len(pairs) and (pairs["idx"][-1] >= n or np.any(np.diff(pairs["idx"].astype(np.int64)) <= 0)):
-            raise CheckpointError("corrupt indexed payload: indices not ascending and in range")
-        flat[pairs["idx"]] = pairs["val"]
-        return flat
-    raise CheckpointError(f"unknown encoding {encoding!r}")
+    # indexed: load_checkpoint maps only the known encoding codes
+    pairs = np.frombuffer(payload, dtype=np.dtype([("idx", "<u4"), ("val", vdt)]))
+    if len(pairs) != nnz:
+        raise CheckpointError("nnz inconsistency: pair count disagrees with header")
+    if len(pairs) and (pairs["idx"][-1] >= n or np.any(np.diff(pairs["idx"].astype(np.int64)) <= 0)):
+        raise CheckpointError("corrupt indexed payload: indices not ascending and in range")
+    flat[pairs["idx"]] = pairs["val"]
+    return flat
 
 
 def _pack_str(s: str) -> bytes:

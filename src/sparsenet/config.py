@@ -198,8 +198,9 @@ def _validate(cfg: RunConfig) -> None:
         )
     if not 0.0 < cfg.validation_fraction < 1.0:
         raise ConfigError("validation_fraction must be in (0, 1)")
-    if cfg.candidate_iterations < 1:
-        raise ConfigError("candidate_iterations must be >= 1")
+    for key in ("synthetic_train_n", "synthetic_test_n", "candidate_iterations"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
     if cfg.retrain_iterations is not None and cfg.retrain_iterations < 1:
         raise ConfigError("retrain_iterations must be >= 1")
     try:

@@ -6,6 +6,17 @@ batch and backward() consumes them, so each backward needs a fresh
 forward; predict_probs() keeps none. Networks are single-writer: training
 mutates one exclusively, while predict_probs on an unmutated network is
 safe to share.
+
+predict_probs() bounds its working set. The layers before the first
+Linear (conv, pool, relu) act on each image alone, and their outputs are
+the same bytes whatever the number of images in the call: a conv is one
+GEMM per image. They run on blocks of B = PREDICT_BLOCK_BYTES // (the
+largest conv im2col bytes of one image) images, at least one, so no
+column buffer exceeds the budget unless one image alone does. A Linear's
+GEMM is not bit-stable across its row count, so the block outputs are
+concatenated back into chunks of PREDICT_CHUNK rows (the last one
+partial) and the Linear layers and the softmax run on those chunks.
+The output is then byte for byte that of forward() on each chunk.
 """
 
 import copy
@@ -19,8 +30,10 @@ from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 
-# images per predict_probs chunk: the one knob on inference batch size
+# rows per predict_probs chunk: the row count every Linear layer sees
 PREDICT_CHUNK = 200
+# bytes of the largest conv im2col buffer predict_probs builds per block
+PREDICT_BLOCK_BYTES = 16 * 2**20
 
 
 class Network:
@@ -57,28 +70,23 @@ class Network:
     def nnz(self) -> int:
         return sum(self.layer_nnz().values())
 
-    def _run(self, batch: np.ndarray, keep: bool):
-        """(softmax probabilities, per-layer backward contexts) for `batch`;
-        without `keep`, each layer's context is freed as soon as the layer
-        returns, before the next layer allocates."""
+    def _check_input(self, batch: np.ndarray):
         if tuple(batch.shape[1:]) != self.input_shape:
             raise ShapeError(
                 f"batch shape {tuple(batch.shape[1:])} does not match "
                 f"network input {self.input_shape}"
             )
-        x = np.ascontiguousarray(batch, dtype=self.dtype)
-        ctxs = []
-        for layer in self.layers:
-            x, ctx = layer.forward(x)
-            if keep:
-                ctxs.append(ctx)
-            del ctx
-        return self.loss_layer.forward(x), ctxs
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """Run the batch through every layer; returns softmax probabilities
         and keeps what one loss()/backward() on this batch needs."""
-        self._trace = self._run(batch, keep=True)
+        self._check_input(batch)
+        x = np.ascontiguousarray(batch, dtype=self.dtype)
+        ctxs = []
+        for layer in self.layers:
+            x, ctx = layer.forward(x)
+            ctxs.append(ctx)
+        self._trace = self.loss_layer.forward(x), ctxs
         return self._trace[0]
 
     def loss(self, labels) -> float:
@@ -104,11 +112,49 @@ class Network:
                 grads.append((layer.name, g))
         return dict(reversed(grads))
 
+    def _split(self) -> int:
+        """Index of the first Linear: the layers before it act per image."""
+        return next((i for i, l in enumerate(self.layers) if isinstance(l, Linear)),
+                    len(self.layers))
+
+    def predict_block(self) -> int:
+        """Images per block of the per-image layers in predict_probs:
+        PREDICT_BLOCK_BYTES over the largest conv im2col bytes of one
+        image, walked from the layer shapes, and at least one."""
+        _, h, w = self.input_shape
+        most = 1
+        for layer in self.layers[: self._split()]:
+            if isinstance(layer, Conv2d):
+                h, w = layer.out_hw(h, w)
+                cols = layer.in_channels * layer.kernel**2 * h * w * self.dtype.itemsize
+                most = max(most, cols)
+            elif isinstance(layer, MaxPool2d):
+                h, w = h // layer.window, w // layer.window
+        return max(1, PREDICT_BLOCK_BYTES // most)
+
     def predict_probs(self, images: np.ndarray) -> np.ndarray:
-        """Probabilities for a full image array, evaluated in chunks of
-        PREDICT_CHUNK images without keeping any backward context."""
-        chunks = [self._run(images[i : i + PREDICT_CHUNK], keep=False)[0]
-                  for i in range(0, len(images), PREDICT_CHUNK)]
+        """Probabilities for a full image array, without keeping any
+        backward context: the per-image layers run in blocks of
+        predict_block() images, the rest on chunks of PREDICT_CHUNK rows
+        (see the module docstring)."""
+        self._check_input(images)
+        if not len(images):  # one column per output of the last layer: the classes
+            return np.empty((0, self.param_layers()[-1].biases.size), self.dtype)
+        split, block = self._split(), self.predict_block()
+        per_image, head = self.layers[:split], self.layers[split:]
+
+        def run(layers, x):
+            for layer in layers:
+                x = layer.forward(x)[0]  # the context is dropped here
+            return x
+
+        chunks = []
+        for i in range(0, len(images), PREDICT_CHUNK):
+            chunk = images[i : i + PREDICT_CHUNK]
+            features = np.concatenate([
+                run(per_image, np.ascontiguousarray(chunk[j : j + block], dtype=self.dtype))
+                for j in range(0, len(chunk), block)])
+            chunks.append(self.loss_layer.forward(run(head, features)))
         return np.concatenate(chunks)
 
     def clone(self) -> "Network":

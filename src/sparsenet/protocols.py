@@ -300,8 +300,6 @@ def train_ensemble(n: int, budget: int, plan_source, data: Dataset, cfg: TrainCo
 
 def ensemble_predict(ensemble: EnsembleModel, images: np.ndarray) -> np.ndarray:
     """Argmax of the mean member output; ties go to the lowest class index."""
-    if not ensemble.members:
-        raise ValueError("cannot predict with an empty ensemble")
     mean = None
     for net in ensemble.members:
         probs = net.predict_probs(images)

@@ -216,6 +216,19 @@ class TestExitCodes:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["synthetic_train_n", "synthetic_test_n"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_synthetic_set_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 key, value):
+        def no_train(*args, **kwargs):
+            raise AssertionError("a bad config must fail before any training")
+
+        monkeypatch.setattr(cli, "train", no_train)
+        cfg = write_cfg(tmp_path, BASE.replace(f"{key} = ", f"{key} = {value}\n# "))
+        assert run(["train", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_train_is_numeric_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("learning_rate = 0.1", "learning_rate = 1e30"))

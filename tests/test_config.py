@@ -149,6 +149,10 @@ class TestValidation:
         ("checkpoint_encoding = sparse\n", "unknown checkpoint_encoding"),
         ("validation_fraction = 0.0\n", r"validation_fraction must be in \(0, 1\)"),
         ("validation_fraction = 1.0\n", r"validation_fraction must be in \(0, 1\)"),
+        ("synthetic_train_n = 0\n", "synthetic_train_n must be >= 1"),
+        ("synthetic_train_n = -1\n", "synthetic_train_n must be >= 1"),
+        ("synthetic_test_n = 0\n", "synthetic_test_n must be >= 1"),
+        ("synthetic_test_n = -1\n", "synthetic_test_n must be >= 1"),
     ])
     def test_rejects_bad_global_value(self, text, match):
         with pytest.raises(ConfigError, match=match):

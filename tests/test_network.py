@@ -1,5 +1,6 @@
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsenet.checkpoint as checkpoint
+import sparsenet.layers as layers
 from sparsenet.checkpoint import (
     ENCODINGS,
     checkpoint_overhead_bytes,
@@ -19,7 +21,14 @@ from sparsenet.errors import CheckpointError, ShapeError
 from sparsenet.gradcheck import check_network_gradients
 from sparsenet.layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from sparsenet.memory import format_bytes, report
-from sparsenet.net import Network, build_cifar_quick, build_lenet_small, build_topology
+from sparsenet.net import (
+    PREDICT_BLOCK_BYTES,
+    PREDICT_CHUNK,
+    Network,
+    build_cifar_quick,
+    build_lenet_small,
+    build_topology,
+)
 from sparsenet.regularizers import l0_project
 from sparsenet.seeding import rng_for
 from sparsenet.synthetic import make_synthetic_pair
@@ -183,6 +192,66 @@ class TestNoActivationState:
         net, train_d, _ = self._setup(topology)
         with pytest.raises(ShapeError):
             net.predict_probs(train_d.images[:, :, 1:])
+
+
+# what predict_probs may hold beside its largest column buffer: that conv's
+# input, its GEMM product and biased sum, and the finished feature rows of
+# the current chunk (measured at a 16 MiB budget: 4.2 MB on cifar_quick,
+# 5.5 MB on lenet_small)
+PREDICT_SLACK_BYTES = 8 * 2**20
+
+
+@pytest.mark.parametrize("topology", ["lenet_small", "cifar_quick"])
+class TestBoundedPredict:
+    """predict_probs runs the per-image layers in blocks of predict_block()
+    images and gives the bytes of a plain loop of forward() over chunks."""
+
+    def _setup(self, topology, n=450):
+        net = build_topology(topology, seed=4)
+        for layer in net.param_layers():  # away from near-uniform probabilities
+            layer.weights *= 10
+        images = rng_for(4, "bounded-predict").standard_normal((n, *net.input_shape))
+        return net, images.astype(np.float32)
+
+    def test_equals_chunked_forward(self, topology, monkeypatch):
+        net, images = self._setup(topology)
+        seen = []
+
+        def spy(xp, k):
+            cols = im2col(xp, k)
+            seen.append(cols.nbytes)
+            return cols
+
+        im2col = layers._im2col
+        monkeypatch.setattr(layers, "_im2col", spy)
+        net.predict_probs(images[:1])
+        per_image = max(seen)  # the largest column buffer of one image
+        b = net.predict_block()
+        assert b == PREDICT_BLOCK_BYTES // per_image and 1 < b < PREDICT_CHUNK
+        for n in (1, b - 1, b, b + 1, 199, 200, 201, 450):
+            seen.clear()
+            probs = net.predict_probs(images[:n])
+            assert max(seen) == min(n, b) * per_image <= PREDICT_BLOCK_BYTES
+            expect = np.concatenate([net.forward(images[i : min(i + PREDICT_CHUNK, n)])
+                                     for i in range(0, n, PREDICT_CHUNK)])
+            assert probs.dtype == expect.dtype and probs.shape == expect.shape
+            assert probs.tobytes() == expect.tobytes(), n
+
+    def test_traced_peak_within_budget(self, topology):
+        net, images = self._setup(topology)
+        net.predict_probs(images[:1])  # first-call allocations are not the working set
+        tracemalloc.start()
+        try:
+            net.predict_probs(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PREDICT_BLOCK_BYTES + PREDICT_SLACK_BYTES
+
+    def test_empty_input(self, topology):
+        net, images = self._setup(topology, n=0)
+        probs = net.predict_probs(images)
+        assert probs.shape == (0, 10) and probs.dtype == net.dtype
 
 
 class TestCheckpoints:
