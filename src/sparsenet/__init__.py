@@ -37,4 +37,4 @@ from .regularizers import (
     l1_subgradient_update,
     threshold,
 )
-from .training import TrainConfig, evaluate_accuracy, full_gradient, train
+from .training import TrainConfig, evaluate_accuracy, train

@@ -46,6 +46,10 @@ EXIT_NUMERIC = 4
 # the config keys, after a "train_"/"test_" prefix, that name a file-backed split
 _SPLIT_KEYS = {"mnist": ("images", "labels"), "cifar10": ("batches",)}
 
+# the (channels, height, width) of every image each dataset yields
+_SAMPLE_SHAPE = {"mnist": (1, 28, 28), "synthetic_mnist": (1, 28, 28),
+                 "cifar10": (3, 32, 32), "synthetic_cifar": (3, 32, 32)}
+
 
 def _split_files(cfg: RunConfig, split: str, why: str = "") -> list:
     keys = [f"{split}_{k}" for k in _SPLIT_KEYS[cfg.dataset]]
@@ -71,9 +75,8 @@ def load_datasets(cfg: RunConfig, need_train: bool = True):
         train_d = load(*train_files) if need_train else None
         test_d = load(*test_files)
     else:
-        shape = (1, 28, 28) if cfg.dataset == "synthetic_mnist" else (3, 32, 32)
         train_d, test_d = make_synthetic_pair(
-            cfg.synthetic_train_n, cfg.synthetic_test_n, shape=shape,
+            cfg.synthetic_train_n, cfg.synthetic_test_n, shape=_SAMPLE_SHAPE[cfg.dataset],
             noise=cfg.synthetic_noise, seed=cfg.seed,
         )
     if cfg.subtract_mean:
@@ -105,6 +108,9 @@ def cmd_train(cfg: RunConfig, args) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> dict:
     _, test_d = load_datasets(cfg, need_train=False)
     net = load_checkpoint(cfg.checkpoint)
+    if net.input_shape != test_d.sample_shape:
+        raise ConfigError(f"checkpoint topology {net.topology} takes {net.input_shape} images, "
+                          f"dataset={cfg.dataset} has {test_d.sample_shape}")
     print(f"test_accuracy={evaluate_accuracy(net, test_d)}")
     return {}
 
@@ -201,6 +207,9 @@ _DISPATCH = {
     "data-sweep": cmd_data_sweep,
 }
 
+# the commands that feed the configured dataset to the configured topology
+_FEEDS_TOPOLOGY = ("train", "sparsify-greedy", "threshold-compare", "ensemble", "data-sweep")
+
 # the config key each command cannot run without
 _REQUIRED_KEY = {
     "eval": "checkpoint",
@@ -246,7 +255,12 @@ def main(argv=None) -> int:
         key = _REQUIRED_KEY.get(args.command)
         if key and getattr(cfg, key) in (None, "", ()):
             raise ConfigError(f"{args.command} requires {key} in the config")
-        validate_layer_names(cfg, _layer_names(build_topology(cfg.topology)))
+        topology = build_topology(cfg.topology)
+        validate_layer_names(cfg, _layer_names(topology))
+        shape = _SAMPLE_SHAPE[cfg.dataset]
+        if args.command in _FEEDS_TOPOLOGY and shape != topology.input_shape:
+            raise ConfigError(f"dataset={cfg.dataset} has {shape} images, "
+                              f"topology={cfg.topology} takes {topology.input_shape}")
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts = _DISPATCH[args.command](cfg, args)

@@ -72,6 +72,10 @@ def load_mnist(images_path, labels_path) -> Dataset:
             raise DataFormatError(
                 f"bad magic in image file: 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
+        if n == 0:
+            raise DataFormatError("image file holds no images")
+        if (rows, cols) != (28, 28):
+            raise DataFormatError(f"image file holds {rows}x{cols} images, expected 28x28")
         raw = _read_exact(f, n * rows * cols, "image pixels")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
 

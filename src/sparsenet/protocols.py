@@ -151,8 +151,7 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
     """
     layers = base_net.param_layers()
     layer_names = [l.name for l in layers]
-    bias_total = sum(l.biases.size for l in layers)
-    min_feasible = len(layers) + bias_total
+    min_feasible = SparsityPlan(dict.fromkeys(layer_names, 1)).total_nnz(base_net)
     if target_nnz < min_feasible:
         raise ValueError(
             f"target {target_nnz} below minimum feasible {min_feasible} (all caps at 1)"
@@ -163,26 +162,25 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
         return CandidateRecord(round_no, layer_reduced, plan, plan.total_nnz(base_net), val_acc,
                                test_acc, report(net).total_best_bytes, adopted)
 
-    caps = {l.name: max(1, int(np.count_nonzero(l.weights))) for l in layers}
+    plan = SparsityPlan({l.name: max(1, int(np.count_nonzero(l.weights))) for l in layers})
     incumbent = base_net.clone()
-    records = [record(0, "-", SparsityPlan(dict(caps)), incumbent,
-                      evaluate_accuracy(incumbent, val_data), adopted=True)]
+    records = [record(0, "-", plan, incumbent, evaluate_accuracy(incumbent, val_data),
+                      adopted=True)]
 
     candidate_index = 0
     round_no = 0
-    while sum(caps.values()) + bias_total > target_nnz:
+    while plan.total_nnz(base_net) > target_nnz:
         round_no += 1
+        caps = plan.caps
         reducible = [name for name in layer_names if _reduced_cap(caps[name]) < caps[name]]
         if not reducible:
             raise ValueError(
                 f"no layer cap reducible by 20% but total nnz "
-                f"{sum(caps.values()) + bias_total} still above target {target_nnz}"
+                f"{plan.total_nnz(base_net)} still above target {target_nnz}"
             )
         plans, task_args = [], []
         for name in reducible:
-            cand_caps = dict(caps)
-            cand_caps[name] = _reduced_cap(caps[name])
-            plans.append(SparsityPlan(cand_caps))
+            plans.append(SparsityPlan({**caps, name: _reduced_cap(caps[name])}))
             cand_cfg = replace(cfg, seed=cfg.seed + candidate_index)
             candidate_index += 1
             task_args.append(
@@ -197,10 +195,10 @@ def greedy_sparsify(base_net, train_data: Dataset, val_data: Dataset, target_nnz
             round_records[pos].val_acc, plans[pos].caps[reducible[pos]], -pos))
         round_records[best].adopted = True
         incumbent = results[best][0]
-        caps = dict(plans[best].caps)
+        plan = plans[best]
         records.extend(round_records)
 
-    return incumbent, SparsityPlan(dict(caps)), records
+    return incumbent, plan, records
 
 
 THRESHOLD_COMPARE_HEADER = ("delta", "total_nnz", "acc_threshold", "acc_retrained")
@@ -256,7 +254,7 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        total = sum(m.nnz() for m in self.members)
+        total = self.total_nnz()
         if total > self.budget:
             raise ValueError(f"ensemble nnz {total} exceeds budget {self.budget}")
 

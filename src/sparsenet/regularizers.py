@@ -133,15 +133,6 @@ def threshold(w: np.ndarray, delta: float) -> np.ndarray:
     return np.where(np.abs(w) < delta, w.dtype.type(0), w)
 
 
-def regularization_term(w: np.ndarray, spec: RegSpec) -> float:
-    """lambda * r(W) where r is defined (l2, l1 kinds); 0.0 otherwise."""
-    if spec.kind == "l2_decay":
-        return spec.strength * float(np.sum(np.square(w, dtype=np.float64)))
-    if spec.kind in ("l1_subgradient", "l1_shrinkage"):
-        return spec.strength * float(np.sum(np.abs(w, dtype=np.float64)))
-    return 0.0
-
-
 def _scope(spec: RegSpec):
     """Names of the layer arrays `spec` acts on: weights, then biases if opted in."""
     return ("weights", "biases") if spec.apply_to_biases else ("weights",)
@@ -151,10 +142,11 @@ def add_l2_gradient(layer, spec: RegSpec, gw: np.ndarray, gb: np.ndarray):
     """(gw, gb) plus the l2_decay gradient 2 * lambda * W over the spec's scope."""
     if spec.kind != "l2_decay" or spec.strength <= 0:
         return gw, gb
-    grads = {"weights": gw, "biases": gb}
-    for name in _scope(spec):
-        grads[name] = grads[name] + 2.0 * spec.strength * getattr(layer, name)
-    return grads["weights"], grads["biases"]
+    decay = 2.0 * spec.strength
+    gw = gw + decay * layer.weights
+    if spec.apply_to_biases:
+        gb = gb + decay * layer.biases
+    return gw, gb
 
 
 def apply_regularization(layer, spec: RegSpec, lr: float, iteration: int) -> None:
@@ -186,13 +178,20 @@ def apply_regularization(layer, spec: RegSpec, lr: float, iteration: int) -> Non
 
 
 def add_regularization_term(total: float, layer, spec: RegSpec) -> float:
-    """`total` plus lambda * r over the spec's scope.
+    """`total` plus lambda * r over the spec's scope: r sums squares for
+    l2_decay and magnitudes for the l1 kinds, in float64; other kinds add 0.
 
     The terms are added onto the running total one array at a time, weights
     then biases, so a sum over layers rounds the same way in every caller.
     """
+    if spec.kind == "l2_decay":
+        r = np.square
+    elif spec.kind in ("l1_subgradient", "l1_shrinkage"):
+        r = np.abs
+    else:
+        return total
     for name in _scope(spec):
-        total += regularization_term(getattr(layer, name), spec)
+        total += spec.strength * float(np.sum(r(getattr(layer, name), dtype=np.float64)))
     return total
 
 

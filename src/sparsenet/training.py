@@ -199,26 +199,3 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
 
     return net, metrics
 
-
-def full_gradient(net, dataset, batch_size: int = 200):
-    """Exact gradient of the mean data loss over the whole dataset.
-
-    Chunk gradients are means over their chunk; they are recombined with
-    exact example weights so the result equals the single-pass gradient.
-    """
-    n = len(dataset)
-    totals = None
-    for start in range(0, n, batch_size):
-        idx = slice(start, min(start + batch_size, n))
-        count = idx.stop - idx.start
-        net.forward(dataset.images[idx])
-        grads = net.backward(dataset.labels[idx])
-        scale = count / n
-        if totals is None:
-            totals = {name: (gw * scale, gb * scale) for name, (gw, gb) in grads.items()}
-        else:
-            for name, (gw, gb) in grads.items():
-                tw, tb = totals[name]
-                tw += gw * scale
-                tb += gb * scale
-    return totals

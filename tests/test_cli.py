@@ -6,6 +6,7 @@ import pytest
 from sparsenet import cli
 from sparsenet.checkpoint import encode_checkpoint, save_checkpoint
 from sparsenet.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
+from sparsenet.config import DATASETS
 from sparsenet.datasets import write_cifar_batch, write_idx_images, write_idx_labels
 from sparsenet.net import build_topology
 from sparsenet.synthetic import as_uint8, make_synthetic_pair
@@ -79,8 +80,9 @@ class TestBasicCommands:
 
     def test_memory_report_fresh_net_all_dense(self, tmp_path, capsys):
         # cifar_quick's zero-init biases are too few per layer to make any
-        # sparse encoding pay off, so a fresh net reports dense everywhere
-        cfg = write_cfg(tmp_path, "dataset = synthetic_cifar\ntopology = cifar_quick\n")
+        # sparse encoding pay off, so a fresh net reports dense everywhere;
+        # memory-report reads no data, so a dataset the net cannot take is fine
+        cfg = write_cfg(tmp_path, "dataset = synthetic_mnist\ntopology = cifar_quick\n")
         assert run(["memory-report", "--config", cfg, "--out", tmp_path / "m", "--mb"]) == 0
         tail = capsys.readouterr().out
         assert "dense" in tail and "MB" in tail
@@ -229,6 +231,24 @@ class TestExitCodes:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("command", cli._FEEDS_TOPOLOGY)
+    def test_dataset_the_topology_cannot_read_is_config_error(self, tmp_path, capsys,
+                                                               command, dataset):
+        topology = "cifar_quick" if cli._SAMPLE_SHAPE[dataset] == (1, 28, 28) else "lenet_small"
+        text = (BASE + REQUIRED[command]).replace("lenet_small", topology)
+        cfg = write_cfg(tmp_path, text.replace("synthetic_mnist", dataset))
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert f"dataset={dataset} has" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_checkpoint_shape_mismatch_is_config_error(self, tmp_path, capsys):
+        save_checkpoint(build_topology("cifar_quick"), tmp_path / "c.ckpt")
+        cfg = write_cfg(tmp_path, BASE + f"checkpoint = {tmp_path / 'c.ckpt'}\n")
+        assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(3, 32, 32) images, dataset=synthetic_mnist has (1, 28, 28)" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_train_is_numeric_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("learning_rate = 0.1", "learning_rate = 1e30"))
@@ -294,6 +314,19 @@ class TestFileBackedDatasets:
         cfg = self._eval_config(tmp_path, dataset, "false")
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == 0
         assert capsys.readouterr().out.startswith("test_accuracy=")
+
+    @pytest.mark.parametrize("shape", [(0, 28, 28), (4, 32, 32)])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_or_not_28x28_idx_is_io_error(self, tmp_path, capsys, command, shape):
+        write_idx_images(tmp_path / "x.images", np.zeros(shape, dtype=np.uint8))
+        write_idx_labels(tmp_path / "x.labels", np.zeros(shape[0], dtype=np.uint8))
+        save_checkpoint(build_topology("lenet_small"), tmp_path / "m.ckpt")
+        files = "".join(f"{split}_{kind} = {tmp_path / ('x.' + kind)}\n"
+                        for split in ("train", "test") for kind in ("images", "labels"))
+        cfg = write_cfg(tmp_path, BASE.replace("synthetic_mnist", "mnist") + files
+                        + f"checkpoint = {tmp_path / 'm.ckpt'}\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+        assert "test_accuracy" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
     def test_eval_mean_needs_train_files(self, tmp_path, capsys, dataset):

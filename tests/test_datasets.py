@@ -75,6 +75,14 @@ class TestMnistLoader:
         with pytest.raises(DataFormatError, match="count mismatch"):
             load_mnist(ipath, lpath)
 
+    @pytest.mark.parametrize("shape,match", [((0, 28, 28), "holds no images"),
+                                             ((3, 32, 32), "32x32 images, expected 28x28"),
+                                             ((3, 28, 27), "28x27 images, expected 28x28")])
+    def test_empty_or_not_28x28(self, tmp_path, shape, match):
+        write_idx_images(tmp_path / "img.idx", np.zeros(shape, dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab.idx", np.zeros(shape[0], dtype=np.uint8))
+        with pytest.raises(DataFormatError, match=match):
+            load_mnist(tmp_path / "img.idx", tmp_path / "lab.idx")
 
 class TestCifarLoader:
     def test_multi_batch(self, tmp_path):

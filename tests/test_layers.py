@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import numeric_grad, rel_error
 from sparsenet.errors import ShapeError
-from sparsenet.gradcheck import numeric_grad, rel_error
 from sparsenet.layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from sparsenet.seeding import rng_for
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sparsenet.checkpoint as checkpoint
 import sparsenet.layers as layers
+from gradcheck import check_network_gradients
 from sparsenet.checkpoint import (
     ENCODINGS,
     checkpoint_overhead_bytes,
@@ -18,7 +19,6 @@ from sparsenet.checkpoint import (
     save_checkpoint,
 )
 from sparsenet.errors import CheckpointError, ShapeError
-from sparsenet.gradcheck import check_network_gradients
 from sparsenet.layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from sparsenet.memory import format_bytes, report
 from sparsenet.net import (

@@ -13,7 +13,6 @@ from sparsenet.seeding import rng_for
 from sparsenet.training import (
     TrainConfig,
     evaluate_accuracy,
-    full_gradient,
     lr_at,
     sgd_update,
     train,
@@ -108,13 +107,19 @@ def _grad_flat(grads):
     )
 
 
+def _whole_set_gradient(net, data):
+    """Gradient of the mean data loss over all of `data`, in one pass."""
+    net.forward(data.images)
+    return _grad_flat(net.backward(data.labels))
+
+
 class TestFullGradient:
     def test_enumeration_unbiasedness(self):
         # average of gradients over all |B|=2 minibatches of a 4-example
         # set equals the full-dataset gradient
         net = small_net(seed=2, dtype=np.float64)
         data = small_data(n=4, seed=3)
-        full = _grad_flat(full_gradient(net, data))
+        full = _whole_set_gradient(net, data)
         batches = list(itertools.combinations(range(4), 2))
         acc = np.zeros_like(full)
         for batch in batches:
@@ -124,30 +129,37 @@ class TestFullGradient:
         acc /= len(batches)
         npt.assert_allclose(acc, full, atol=1e-10)
 
-    def test_single_example_batch_equals_full(self):
-        net = small_net(seed=4, dtype=np.float64)
-        data = small_data(n=1, seed=5)
-        net.forward(data.images)
-        batch = _grad_flat(net.backward(data.labels))
-        npt.assert_allclose(batch, _grad_flat(full_gradient(net, data)), atol=1e-12)
-
-    def test_full_batch_equals_full_objective(self):
-        net = small_net(seed=6, dtype=np.float64)
-        data = small_data(n=12, seed=7)
-        net.forward(data.images)
-        whole = _grad_flat(net.backward(data.labels))
-        npt.assert_allclose(whole, _grad_flat(full_gradient(net, data, batch_size=5)),
-                            atol=1e-12)
-
     def test_gradient_norm_decreases_on_separable_toy(self):
         net = small_net(seed=8, dtype=np.float64)
         data = small_data(n=60, seed=9, noise=0.05)
-        before = float(np.linalg.norm(_grad_flat(full_gradient(net, data))))
+        before = float(np.linalg.norm(_whole_set_gradient(net, data)))
         cfg = TrainConfig(batch_size=20, learning_rate=0.5, momentum=0.9,
                           max_iterations=300, eval_interval=300, seed=0)
         train(net, data, cfg)
-        after = float(np.linalg.norm(_grad_flat(full_gradient(net, data))))
+        after = float(np.linalg.norm(_whole_set_gradient(net, data)))
         assert after < before
+
+
+class TestExactZerosEndToEnd:
+    """After train(), l1 shrinkage leaves exact zeros in a layer and the l1
+    subgradient leaves almost none: the operator-level contrast in
+    test_regularizers, through the whole training loop."""
+
+    @staticmethod
+    def _fc1_zeros(kind, seed, data):
+        spec = RegSpec(kind=kind, strength=0.01)
+        cfg = TrainConfig(batch_size=20, learning_rate=0.1, max_iterations=100, seed=seed)
+        net, _ = train(small_net(seed=seed), data, cfg, reg_specs={"conv1": spec, "fc1": spec})
+        weights = net.layer("fc1").weights
+        return int(np.count_nonzero(weights == 0)), weights.size
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shrinkage_zeros_subgradient_almost_none(self, small_pair, seed):
+        train_d, _ = small_pair
+        shrunk, size = self._fc1_zeros("l1_shrinkage", seed, train_d)
+        subgrad, _ = self._fc1_zeros("l1_subgradient", seed, train_d)
+        assert shrunk > 0, f"shrinkage left no exact zero in fc1 on seed {seed}"
+        assert subgrad <= 0.01 * size, f"subgradient left {subgrad} of {size} zeros on seed {seed}"
 
 
 class TestTrainLoop:
