@@ -105,12 +105,9 @@ def cmd_train(cfg: RunConfig, args) -> dict:
             "metrics.csv": metrics.to_csv()}
 
 
-def cmd_eval(cfg: RunConfig, args) -> dict:
+def cmd_eval(cfg: RunConfig, args, net) -> dict:
+    """Test accuracy of `net`, the checkpoint main loaded and checked."""
     _, test_d = load_datasets(cfg, need_train=False)
-    net = load_checkpoint(cfg.checkpoint)
-    if net.input_shape != test_d.sample_shape:
-        raise ConfigError(f"checkpoint topology {net.topology} takes {net.input_shape} images, "
-                          f"dataset={cfg.dataset} has {test_d.sample_shape}")
     print(f"test_accuracy={evaluate_accuracy(net, test_d)}")
     return {}
 
@@ -261,9 +258,16 @@ def main(argv=None) -> int:
         if args.command in _FEEDS_TOPOLOGY and shape != topology.input_shape:
             raise ConfigError(f"dataset={cfg.dataset} has {shape} images, "
                               f"topology={cfg.topology} takes {topology.input_shape}")
+        command = _DISPATCH[args.command]
+        if args.command == "eval":  # its checkpoint, not the topology, reads the data
+            net = load_checkpoint(cfg.checkpoint)
+            if net.input_shape != shape:
+                raise ConfigError(f"checkpoint topology {net.topology} takes {net.input_shape} "
+                                  f"images, dataset={cfg.dataset} has {shape}")
+            command = partial(cmd_eval, net=net)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = _DISPATCH[args.command](cfg, args)
+        artifacts = command(cfg, args)
         # hash the semantic config: the output location is not part of run identity
         canonical = serialize_config(dataclasses.replace(cfg, out_dir="."))
         manifest = [

@@ -8,6 +8,10 @@ that only wants outputs drops ctx, so inference keeps no activations.
 Each ctx holds references or arrays the forward made anyway: conv keeps
 its im2col columns, max-pool its input and pooled output (no index
 array), relu its mask, fc its flattened input.
+Activations are NCHW, but conv keeps its columns channel-major,
+(c * k * k, n * oh * ow), so its forward and its input gradient are one
+GEMM each over the whole batch. A parameterized layer's
+backward(..., input_grad=False) returns dx as None.
 The layer set is fixed (conv, max-pool, relu, fully-connected, softmax
 loss), which keeps every backward pass independently checkable against
 finite differences.
@@ -19,10 +23,11 @@ from .errors import ShapeError
 
 
 def _im2col(xp, k):
-    """(n, c * k * k, oh * ow) columns of every k x k window of `xp`, in one copy."""
+    """(c * k * k, n * oh * ow) columns of every k x k window of `xp`, in one
+    copy: channel-major, so one GEMM covers every image of the batch."""
     n, c, hp, wp = xp.shape
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, (hp - k + 1) * (wp - k + 1))
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * (hp - k + 1) * (wp - k + 1))
 
 
 def _col2im(dcols, padded_shape, k):
@@ -30,10 +35,11 @@ def _col2im(dcols, padded_shape, k):
     n, c, hp, wp = padded_shape
     oh, ow = hp - k + 1, wp - k + 1
     dxp = np.zeros(padded_shape, dtype=dcols.dtype)
-    dcols = dcols.reshape(n, c, k, k, oh, ow)
+    dxp_cn = dxp.transpose(1, 0, 2, 3)  # a (c, n, hp, wp) view, so the slices line up
+    dcols = dcols.reshape(c, k, k, n, oh, ow)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
+            dxp_cn[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
     return dxp
 
 
@@ -67,18 +73,24 @@ class Conv2d:
         oh, ow = self.out_hw(h, w)
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         cols = _im2col(xp, self.kernel)
-        w2d = self.weights.reshape(self.out_channels, -1)
-        out = np.matmul(w2d[None], cols) + self.biases[None, :, None]
-        return out.reshape(n, self.out_channels, oh, ow), (cols, x.shape)
+        out = self.weights.reshape(self.out_channels, -1) @ cols
+        out += self.biases[:, None]
+        out = out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(out), (cols, x.shape)
 
-    def backward(self, dout, ctx):
+    def backward(self, dout, ctx, input_grad=True):
+        """(dx, (grad_w, grad_b)); dx is None when `input_grad` is false."""
         cols, (n, c, h, w) = ctx
-        p = self.pad
-        d2 = dout.reshape(n, self.out_channels, -1)
-        w2d = self.weights.reshape(self.out_channels, -1)
-        grad_w = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.weights.shape)
+        p, o = self.pad, self.out_channels
+        d2 = dout.reshape(n, o, -1)
+        # per-image GEMMs summed in image order: one GEMM over n * oh * ow
+        # would reorder the float sums
+        per_image = cols.reshape(len(cols), n, -1).transpose(1, 2, 0)
+        grad_w = np.matmul(d2, per_image).sum(axis=0).reshape(self.weights.shape)
         grad_b = d2.sum(axis=(0, 2))
-        dcols = np.matmul(w2d.T[None], d2)
+        if not input_grad:
+            return None, (grad_w, grad_b)
+        dcols = self.weights.reshape(o, -1).T @ d2.transpose(1, 0, 2).reshape(o, -1)
         dxp = _col2im(dcols, (n, c, h + 2 * p, w + 2 * p), self.kernel)
         return (dxp[:, :, p : p + h, p : p + w] if p else dxp), (grad_w, grad_b)
 
@@ -171,9 +183,10 @@ class Linear:
             )
         return x2d @ self.weights.T + self.biases, (x2d, x.shape)
 
-    def backward(self, dout, ctx):
+    def backward(self, dout, ctx, input_grad=True):
         x2d, x_shape = ctx
-        return (dout @ self.weights).reshape(x_shape), (dout.T @ x2d, dout.sum(axis=0))
+        dx = (dout @ self.weights).reshape(x_shape) if input_grad else None
+        return dx, (dout.T @ x2d, dout.sum(axis=0))
 
 
 class SoftmaxCrossEntropy:

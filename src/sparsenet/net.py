@@ -7,15 +7,25 @@ forward; predict_probs() keeps none. Networks are single-writer: training
 mutates one exclusively, while predict_probs on an unmutated network is
 safe to share.
 
+backward() does not build the first layer's input gradient, which
+nothing reads.
+
 predict_probs() bounds its working set. The layers before the first
-Linear (conv, pool, relu) act on each image alone, and their outputs are
-the same bytes whatever the number of images in the call: a conv is one
-GEMM per image. They run on blocks of B = PREDICT_BLOCK_BYTES // (the
-largest conv im2col bytes of one image) images, at least one, so no
-column buffer exceeds the budget unless one image alone does. A Linear's
-GEMM is not bit-stable across its row count, so the block outputs are
-concatenated back into chunks of PREDICT_CHUNK rows (the last one
-partial) and the Linear layers and the softmax run on those chunks.
+Linear (conv, pool, relu) act on each image alone. They run on blocks of
+B = PREDICT_BLOCK_BYTES // (the largest conv im2col bytes of one image)
+images, at least one, so no column buffer exceeds the budget unless one
+image alone does. Their outputs must be the same bytes whatever the
+number of images in the call. A conv is one GEMM per block, over
+n * oh * ow columns, so this holds only where the BLAS sums each output
+in the same order at any column count. That is a property of the BLAS
+kernels for each GEMM shape, pinned for every topology conv on the stack
+that runs the suite: tests/test_layers.py (TestConvByteOracle: 1, 7 and
+50 images against one GEMM per image) and tests/test_network.py
+(TestBoundedPredict: predict_probs at every block size against forward()
+on whole chunks). A Linear's GEMM is not bit-stable across its row
+count, so the block outputs are concatenated back into chunks of
+PREDICT_CHUNK rows (the last one partial) and the Linear layers and the
+softmax run on those chunks.
 The output is then byte for byte that of forward() on each chunk.
 """
 
@@ -105,11 +115,14 @@ class Network:
             raise RuntimeError("backward() requires a prior forward() on the same batch")
         (probs, ctxs), self._trace = self._trace, None
         d = self.loss_layer.backward(probs, labels)
+        first, *rest = self.layers
         grads = []
-        for layer in reversed(self.layers):
+        for layer in reversed(rest):
             d, g = layer.backward(d, ctxs.pop())
             if g is not None:
                 grads.append((layer.name, g))
+        if first.has_params:  # nothing reads the gradient of the input batch
+            grads.append((first.name, first.backward(d, ctxs.pop(), input_grad=False)[1]))
         return dict(reversed(grads))
 
     def _split(self) -> int:

@@ -178,6 +178,7 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+        assert not (tmp_path / "o").exists()
 
     def test_flipped_topology_byte_is_io_error(self, tmp_path):
         raw = bytearray(encode_checkpoint(build_topology("lenet_small"), "dense"))
@@ -186,6 +187,7 @@ class TestExitCodes:
         bad.write_bytes(bytes(raw))
         cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+        assert not (tmp_path / "o").exists()
 
     def test_init_checkpoint_of_another_topology_is_io_error(self, tmp_path):
         raw = bytearray(encode_checkpoint(build_topology("lenet_small"), "dense"))
@@ -248,6 +250,7 @@ class TestExitCodes:
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "(3, 32, 32) images, dataset=synthetic_mnist has (1, 28, 28)" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_train_is_numeric_error(self, tmp_path, capsys):

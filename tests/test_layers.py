@@ -60,6 +60,68 @@ class TestConvForward:
             layer.forward(np.zeros((1, 2, 8, 8), dtype=np.float32))
 
 
+def conv_per_image_nchw(layer, x, dout):
+    """(out, dx, grad_w, grad_b) of `layer` by the per-image NCHW
+    formulation: (n, c*k*k, oh*ow) columns, one GEMM per image in every
+    pass, and each column entry added back onto its pixel in (i, j) order."""
+    n, c, h, w = x.shape
+    o, k, p = layer.out_channels, layer.kernel, layer.pad
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
+    w2d = layer.weights.reshape(o, -1)
+    out = (np.matmul(w2d[None], cols) + layer.biases[None, :, None]).reshape(n, o, oh, ow)
+    d2 = dout.reshape(n, o, -1)
+    grad_w = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(layer.weights.shape)
+    grad_b = d2.sum(axis=(0, 2))
+    dcols = np.matmul(w2d.T[None], d2).reshape(n, c, k, k, oh, ow)
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
+    return out, dxp[:, :, p : p + h, p : p + w], grad_w, grad_b
+
+
+# (in_channels, out_channels, input side) of every conv in lenet_small and cifar_quick
+TOPOLOGY_CONVS = [(1, 20, 28), (20, 50, 12), (3, 32, 32), (32, 32, 16), (32, 64, 8)]
+# lenet_small's convs run unpadded, cifar_quick's at pad 2; each shape runs at both
+CONV_CASES = [(c, o, side, pad) for c, o, side in TOPOLOGY_CONVS for pad in (0, 2)]
+# no topology has this conv: a (64, 800) x (800, 16) per-image GEMM, which
+# OpenBLAS 0.3.31 (Haswell kernels) sums in another order than the batched one
+SMALL_GEMM = (32, 64, 8, 0)
+
+
+class TestConvByteOracle:
+    """Conv2d's channel-major columns give the bytes of the per-image NCHW
+    formulation in every pass: one GEMM over n images' columns sums each
+    output in the order of n per-image GEMMs. That is a property of the
+    BLAS kernels, so it is checked on whatever numpy/BLAS runs the suite."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    @pytest.mark.parametrize("c,o,side,pad", [
+        pytest.param(*case, marks=pytest.mark.xfail(
+            reason="the forward's per-image GEMM takes another BLAS kernel path"))
+        if case == SMALL_GEMM else case for case in CONV_CASES])
+    def test_equals_per_image_nchw(self, c, o, side, pad, n, dtype):
+        rng = rng_for(6, "conv-bytes", c, o, pad, n)
+        layer = Conv2d("c", c, o, 5, pad=pad, init_std=0.1, dtype=dtype, rng=rng)
+        layer.biases = rng.standard_normal(o).astype(dtype)
+        x = rng.standard_normal((n, c, side, side)).astype(dtype)
+        out, ctx = layer.forward(x)
+        dout = rng.standard_normal(out.shape).astype(dtype)
+        expect = conv_per_image_nchw(layer, x, dout)
+        dx, (grad_w, grad_b) = layer.backward(dout, ctx)
+        for got, want in zip((out, dx, grad_w, grad_b), expect):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            npt.assert_array_equal(got, want)
+        assert out.flags.c_contiguous
+        no_dx, grads = layer.backward(dout, ctx, input_grad=False)
+        assert no_dx is None
+        assert grads[0].tobytes() == grad_w.tobytes() and grads[1].tobytes() == grad_b.tobytes()
+
+
 class TestLinearForward:
     def test_matches_naive_oracle(self):
         rng = rng_for(3, "fc")

@@ -147,6 +147,76 @@ class TestBackward:
             npt.assert_allclose(single[name][0], double[name][0], atol=1e-12)
 
 
+def _full_backward(net, x, y):
+    """{layer name: (grad_w, grad_b)} from a backward through every layer
+    that also builds the gradient of the input batch."""
+    ctxs = []
+    for layer in net.layers:
+        x, ctx = layer.forward(x)
+        ctxs.append(ctx)
+    d = net.loss_layer.backward(net.loss_layer.forward(x), y)
+    grads = []
+    for layer, ctx in zip(reversed(net.layers), reversed(ctxs)):
+        d, g = layer.backward(d, ctx)
+        if g is not None:
+            grads.append((layer.name, g))
+    return dict(reversed(grads))
+
+
+def _assert_same_grad_bytes(got, want):
+    assert list(got) == list(want)
+    for name, (grad_w, grad_b) in want.items():
+        assert got[name][0].dtype == grad_w.dtype and got[name][1].dtype == grad_b.dtype
+        assert got[name][0].tobytes() == grad_w.tobytes(), name
+        assert got[name][1].tobytes() == grad_b.tobytes(), name
+
+
+class TestFirstLayerInputGradient:
+    """Network.backward asks layers[0] for its parameter gradients only:
+    nothing reads the gradient of the input batch."""
+
+    @pytest.mark.parametrize("topology", ["lenet_small", "cifar_quick"])
+    def test_never_built(self, topology, monkeypatch):
+        net = build_topology(topology, seed=2)
+        rng = rng_for(2, "first-layer", topology)
+        x = rng.standard_normal((7, *net.input_shape)).astype(np.float32)
+        y = rng.integers(0, 10, size=7)
+        full = _full_backward(net, x, y)
+        convs = [l for l in net.layers if isinstance(l, Conv2d)]
+        assert net.layers[0] is convs[0]
+        calls = []
+
+        def spy(dcols, padded_shape, k):
+            calls.append(padded_shape)
+            return col2im(dcols, padded_shape, k)
+
+        col2im = layers._col2im
+        monkeypatch.setattr(layers, "_col2im", spy)
+        for _ in range(2):
+            calls.clear()
+            net.forward(x)
+            _assert_same_grad_bytes(net.backward(y), full)
+            assert len(calls) == len(convs) - 1
+
+    @pytest.mark.parametrize("first", ["pool", "relu", "linear"])
+    def test_first_layer_not_a_conv(self, first):
+        rng = rng_for(3, "first-layer", first)
+        conv = Conv2d("c", 2, 3, 3, pad=1, init_std=0.2, dtype=np.float64, rng=rng)
+        fc = Linear("f", 3 * 4 * 4, 4, init_std=0.2, dtype=np.float64, rng=rng)
+        stack = {
+            "pool": [MaxPool2d(2), conv, ReLU(), fc],
+            "relu": [ReLU(), conv, MaxPool2d(2), fc],
+            "linear": [Linear("f0", 2 * 8 * 8, 3 * 4 * 4, init_std=0.2, dtype=np.float64,
+                              rng=rng), ReLU(), fc],
+        }[first]
+        net = Network(stack, SoftmaxCrossEntropy(), "toy", (2, 8, 8))
+        x = rng.standard_normal((5, 2, 8, 8))
+        y = rng.integers(0, 4, size=5)
+        full = _full_backward(net, x, y)
+        net.forward(x)
+        _assert_same_grad_bytes(net.backward(y), full)
+
+
 def _assert_holds_only_parameters(net):
     for layer in (*net.layers, net.loss_layer):
         arrays = {k for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
