@@ -265,9 +265,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"checkpoint topology {net.topology} takes {net.input_shape} "
                                   f"images, dataset={cfg.dataset} has {shape}")
             command = partial(cmd_eval, net=net)
+        artifacts = command(cfg, args)
+        # made only now, so a command that fails (a corrupt checkpoint, a
+        # diverging run) leaves no --out directory behind
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = command(cfg, args)
         # hash the semantic config: the output location is not part of run identity
         canonical = serialize_config(dataclasses.replace(cfg, out_dir="."))
         manifest = [

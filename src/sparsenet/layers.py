@@ -6,11 +6,14 @@ for that batch, and backward(dout, ctx) returns (dx, grads) with grads
 (grad_w, grad_b) for a parameterized layer and None otherwise. A caller
 that only wants outputs drops ctx, so inference keeps no activations.
 Each ctx holds references or arrays the forward made anyway: conv keeps
-its im2col columns, max-pool its input and pooled output (no index
-array), relu its mask, fc its flattened input.
-Activations are NCHW, but conv keeps its columns channel-major,
-(c * k * k, n * oh * ow), so its forward and its input gradient are one
-GEMM each over the whole batch. A parameterized layer's
+its padded input (the input itself when unpadded), max-pool its input
+and pooled output (no index array), relu its mask, fc its flattened
+input.
+Activations are NCHW, but conv builds its columns channel-major,
+(c * k * k, n * oh * ow), in blocks of images: its forward and its
+input gradient are one GEMM each per block, and no im2col buffer is
+larger than COLUMN_BYTES unless one image's is (the input gradient's
+row-padded columns are wp / ow times that). A parameterized layer's
 backward(..., input_grad=False) returns dx as None.
 The layer set is fixed (conv, max-pool, relu, fully-connected, softmax
 loss), which keeps every backward pass independently checkable against
@@ -21,31 +24,46 @@ import numpy as np
 
 from .errors import ShapeError
 
+# bytes of the largest im2col column buffer one conv pass builds: each
+# pass runs on blocks of images sized to it (Conv2d.block)
+COLUMN_BYTES = 16 * 2**20
+
 
 def _im2col(xp, k):
     """(c * k * k, n * oh * ow) columns of every k x k window of `xp`, in one
-    copy: channel-major, so one GEMM covers every image of the batch."""
+    copy: channel-major, so one GEMM covers every image of the block."""
     n, c, hp, wp = xp.shape
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * (hp - k + 1) * (wp - k + 1))
 
 
 def _col2im(dcols, padded_shape, k):
-    """Adjoint of _im2col: adds each column entry back onto its input pixel."""
+    """Adjoint of _im2col on row-padded columns: `dcols` is
+    (c * k * k, n * oh * wp), each output row padded from ow to wp entries
+    with zeros. Tap (i, j) is then one contiguous add over a flat
+    (c, n, hp * wp) view at offset i * wp + j, in (i, j) order; a
+    pad entry lands on a pixel of the next row as a +-0 term, which leaves
+    every sum unchanged (the sums start at +0, so none is ever -0)."""
     n, c, hp, wp = padded_shape
-    oh, ow = hp - k + 1, wp - k + 1
+    span = (hp - k + 1) * wp
     dxp = np.zeros(padded_shape, dtype=dcols.dtype)
-    dxp_cn = dxp.transpose(1, 0, 2, 3)  # a (c, n, hp, wp) view, so the slices line up
-    dcols = dcols.reshape(c, k, k, n, oh, ow)
+    flat = dxp.transpose(1, 0, 2, 3).reshape(c, n, hp * wp)  # a view, so the taps line up
+    dcols = dcols.reshape(c, k, k, n, span)
     for i in range(k):
         for j in range(k):
-            dxp_cn[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
+            # the last j entries of a tap are pad entries past the end
+            flat[:, :, i * wp + j : i * wp + span] += dcols[:, i, j, :, : span - j]
     return dxp
 
 
 class Conv2d:
     """2-d convolution over every kernel x kernel window of the padded input;
-    weights are (out_channels, in_channels, kernel, kernel)."""
+    weights are (out_channels, in_channels, kernel, kernel).
+
+    Every pass runs on blocks of block() images, so no im2col buffer
+    exceeds COLUMN_BYTES unless one image alone does. The context is the
+    padded input; the backward rebuilds each block's columns.
+    """
 
     has_params = True
 
@@ -65,34 +83,62 @@ class Conv2d:
         k, p = self.kernel, self.pad
         return h + 2 * p - k + 1, w + 2 * p - k + 1
 
+    def block(self, h, w, itemsize):
+        """Images per block on h x w inputs: COLUMN_BYTES over the im2col
+        bytes of one image, and at least one."""
+        oh, ow = self.out_hw(h, w)
+        return max(1, COLUMN_BYTES // (self.in_channels * self.kernel**2 * oh * ow * itemsize))
+
     def forward(self, x):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
-        p = self.pad
+        p, o = self.pad, self.out_channels
         oh, ow = self.out_hw(h, w)
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(xp, self.kernel)
-        out = self.weights.reshape(self.out_channels, -1) @ cols
-        out += self.biases[:, None]
-        out = out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(out), (cols, x.shape)
+        w2d = self.weights.reshape(o, -1)
+        out = np.empty((n, o, oh, ow), dtype=np.result_type(x, self.weights))
+        step = self.block(h, w, x.itemsize)
+        for b in range(0, n, step):
+            part = w2d @ _im2col(xp[b : b + step], self.kernel)
+            part += self.biases[:, None]
+            out[b : b + step] = part.reshape(o, -1, oh, ow).transpose(1, 0, 2, 3)
+        return out, xp
 
-    def backward(self, dout, ctx, input_grad=True):
+    def backward(self, dout, xp, input_grad=True):
         """(dx, (grad_w, grad_b)); dx is None when `input_grad` is false."""
-        cols, (n, c, h, w) = ctx
-        p, o = self.pad, self.out_channels
+        n, c, hp, wp = xp.shape
+        p, o, k = self.pad, self.out_channels, self.kernel
+        h, w = hp - 2 * p, wp - 2 * p
+        oh, ow = self.out_hw(h, w)
+        w2d = self.weights.reshape(o, -1)
         d2 = dout.reshape(n, o, -1)
-        # per-image GEMMs summed in image order: one GEMM over n * oh * ow
-        # would reorder the float sums
-        per_image = cols.reshape(len(cols), n, -1).transpose(1, 2, 0)
-        grad_w = np.matmul(d2, per_image).sum(axis=0).reshape(self.weights.shape)
         grad_b = d2.sum(axis=(0, 2))
-        if not input_grad:
-            return None, (grad_w, grad_b)
-        dcols = self.weights.reshape(o, -1).T @ d2.transpose(1, 0, 2).reshape(o, -1)
-        dxp = _col2im(dcols, (n, c, h + 2 * p, w + 2 * p), self.kernel)
-        return (dxp[:, :, p : p + h, p : p + w] if p else dxp), (grad_w, grad_b)
+        dx = np.empty((n, c, h, w), dtype=np.result_type(w2d, dout)) if input_grad else None
+        # a non-finite weight times a zero pad entry of dout is NaN, not 0
+        clear_pad = input_grad and not np.isfinite(w2d).all()
+        step = self.block(h, w, xp.itemsize)
+        grad_w = None
+        for b in range(0, n, step):
+            m = min(step, n - b)
+            cols = _im2col(xp[b : b + m], k)
+            # one GEMM per image, summed in image order onto the running
+            # total: g.sum(axis=0) is numpy's left fold over the images
+            g = np.matmul(d2[b : b + m], cols.reshape(len(cols), m, -1).transpose(1, 2, 0))
+            if grad_w is not None:
+                g[0] += grad_w
+            grad_w = g.sum(axis=0)
+            del cols, g  # freed before the input-gradient GEMM and the next block
+            if not input_grad:
+                continue
+            d_cm = np.zeros((o, m, oh, wp), dtype=dout.dtype)
+            d_cm[..., :ow] = dout[b : b + m].transpose(1, 0, 2, 3)
+            dcols = w2d.T @ d_cm.reshape(o, -1)
+            if clear_pad:
+                dcols.reshape(-1, wp)[:, ow:] = 0
+            dx[b : b + m] = _col2im(dcols, (m, c, hp, wp), k)[:, :, p : p + h, p : p + w]
+            del d_cm, dcols
+        return dx, (grad_w.reshape(self.weights.shape), grad_b)
 
 
 class MaxPool2d:

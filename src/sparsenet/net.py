@@ -10,22 +10,26 @@ safe to share.
 backward() does not build the first layer's input gradient, which
 nothing reads.
 
-predict_probs() bounds its working set. The layers before the first
-Linear (conv, pool, relu) act on each image alone. They run on blocks of
-B = PREDICT_BLOCK_BYTES // (the largest conv im2col bytes of one image)
-images, at least one, so no column buffer exceeds the budget unless one
-image alone does. Their outputs must be the same bytes whatever the
-number of images in the call. A conv is one GEMM per block, over
-n * oh * ow columns, so this holds only where the BLAS sums each output
-in the same order at any column count. That is a property of the BLAS
-kernels for each GEMM shape, pinned for every topology conv on the stack
-that runs the suite: tests/test_layers.py (TestConvByteOracle: 1, 7 and
-50 images against one GEMM per image) and tests/test_network.py
-(TestBoundedPredict: predict_probs at every block size against forward()
-on whole chunks). A Linear's GEMM is not bit-stable across its row
-count, so the block outputs are concatenated back into chunks of
-PREDICT_CHUNK rows (the last one partial) and the Linear layers and the
-softmax run on those chunks.
+Every conv pass, in training too, builds its im2col columns in blocks
+of Conv2d.block() images, at most layers.COLUMN_BYTES of columns unless
+one image alone is more: a batch keeps its activations and each conv's
+padded input, never its columns.
+
+predict_probs() bounds its whole working set. The layers before the
+first Linear (conv, pool, relu) act on each image alone. They run on
+blocks of B = predict_block() images, the smallest block() of their
+convs. Their outputs must be the same bytes whatever the number of
+images in the call. A conv is one GEMM per block, over n * oh * ow
+columns, so this holds only where the BLAS sums each output in the same
+order at any column count. That is a property of the BLAS kernels for
+each GEMM shape, pinned for every topology conv on the stack that runs
+the suite: tests/test_layers.py (TestConvByteOracle: 1, 7 and 50 images,
+in blocks of 1, 3 and the budget's, against one GEMM per image) and
+tests/test_network.py (TestBoundedPredict: predict_probs at every block
+size against forward() on whole chunks). A Linear's GEMM is not
+bit-stable across its row count, so the block outputs are concatenated
+back into chunks of PREDICT_CHUNK rows (the last one partial) and the
+Linear layers and the softmax run on those chunks.
 The output is then byte for byte that of forward() on each chunk.
 """
 
@@ -42,8 +46,6 @@ log = logging.getLogger(__name__)
 
 # rows per predict_probs chunk: the row count every Linear layer sees
 PREDICT_CHUNK = 200
-# bytes of the largest conv im2col buffer predict_probs builds per block
-PREDICT_BLOCK_BYTES = 16 * 2**20
 
 
 class Network:
@@ -131,19 +133,17 @@ class Network:
                     len(self.layers))
 
     def predict_block(self) -> int:
-        """Images per block of the per-image layers in predict_probs:
-        PREDICT_BLOCK_BYTES over the largest conv im2col bytes of one
-        image, walked from the layer shapes, and at least one."""
+        """Images per block of the per-image layers in predict_probs: the
+        smallest Conv2d.block() among them, walked from the layer shapes."""
         _, h, w = self.input_shape
-        most = 1
+        blocks = []
         for layer in self.layers[: self._split()]:
             if isinstance(layer, Conv2d):
+                blocks.append(layer.block(h, w, self.dtype.itemsize))
                 h, w = layer.out_hw(h, w)
-                cols = layer.in_channels * layer.kernel**2 * h * w * self.dtype.itemsize
-                most = max(most, cols)
             elif isinstance(layer, MaxPool2d):
                 h, w = h // layer.window, w // layer.window
-        return max(1, PREDICT_BLOCK_BYTES // most)
+        return min(blocks, default=PREDICT_CHUNK)  # no conv: one block per chunk
 
     def predict_probs(self, images: np.ndarray) -> np.ndarray:
         """Probabilities for a full image array, without keeping any

@@ -180,6 +180,22 @@ class TestExitCodes:
         assert run(["eval", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
         assert not (tmp_path / "o").exists()
 
+    def test_memory_report_corrupt_checkpoint_is_io_error(self, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"garbage")
+        cfg = write_cfg(tmp_path, BASE + f"checkpoint = {bad}\n")
+        assert run(["memory-report", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "memory-report", "sparsify-greedy",
+                                         "threshold-compare"])
+    def test_corrupt_init_checkpoint_is_io_error(self, tmp_path, command):
+        bad = tmp_path / "init.ckpt"
+        bad.write_bytes(b"garbage")
+        cfg = write_cfg(tmp_path, BASE + REQUIRED[command] + f"init_checkpoint = {bad}\n")
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_IO
+        assert not (tmp_path / "o").exists()
+
     def test_flipped_topology_byte_is_io_error(self, tmp_path):
         raw = bytearray(encode_checkpoint(build_topology("lenet_small"), "dense"))
         raw[9] ^= 0x80  # first byte of the topology name: no longer utf-8

@@ -19,10 +19,9 @@ from sparsenet.checkpoint import (
     save_checkpoint,
 )
 from sparsenet.errors import CheckpointError, ShapeError
-from sparsenet.layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
+from sparsenet.layers import COLUMN_BYTES, Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from sparsenet.memory import format_bytes, report
 from sparsenet.net import (
-    PREDICT_BLOCK_BYTES,
     PREDICT_CHUNK,
     Network,
     build_cifar_quick,
@@ -297,11 +296,11 @@ class TestBoundedPredict:
         net.predict_probs(images[:1])
         per_image = max(seen)  # the largest column buffer of one image
         b = net.predict_block()
-        assert b == PREDICT_BLOCK_BYTES // per_image and 1 < b < PREDICT_CHUNK
+        assert b == COLUMN_BYTES // per_image and 1 < b < PREDICT_CHUNK
         for n in (1, b - 1, b, b + 1, 199, 200, 201, 450):
             seen.clear()
             probs = net.predict_probs(images[:n])
-            assert max(seen) == min(n, b) * per_image <= PREDICT_BLOCK_BYTES
+            assert max(seen) == min(n, b) * per_image <= COLUMN_BYTES
             expect = np.concatenate([net.forward(images[i : min(i + PREDICT_CHUNK, n)])
                                      for i in range(0, n, PREDICT_CHUNK)])
             assert probs.dtype == expect.dtype and probs.shape == expect.shape
@@ -316,12 +315,42 @@ class TestBoundedPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < PREDICT_BLOCK_BYTES + PREDICT_SLACK_BYTES
+        assert peak < COLUMN_BYTES + PREDICT_SLACK_BYTES
 
     def test_empty_input(self, topology):
         net, images = self._setup(topology, n=0)
         probs = net.predict_probs(images)
         assert probs.shape == (0, 10) and probs.dtype == net.dtype
+
+
+# what one cifar_quick forward plus backward at batch 50 may hold beside a
+# COLUMN_BYTES column buffer, fixed before the first measurement: conv2's
+# row-padded input-gradient columns (wp / ow = 20 / 16 of its 16 MiB
+# budget: 4 MiB more), the activations and contexts the batch keeps
+# (~14 MB) and a block's GEMM products and gradient copies (~4 MB)
+TRAIN_SLACK_BYTES = 24 * 2**20
+
+
+class TestBoundedTraining:
+    """A training step builds its conv columns in blocks too: its traced
+    peak does not grow with the column bytes of the whole batch (conv2's
+    alone are 41 MB at batch 50, once in forward and once in backward)."""
+
+    def test_traced_peak_within_budget(self):
+        net = build_cifar_quick(seed=4)
+        rng = rng_for(4, "bounded-train")
+        x = rng.standard_normal((50, *net.input_shape)).astype(np.float32)
+        y = rng.integers(0, 10, size=50)
+        net.forward(x)  # first-call allocations are not the working set
+        net.backward(y)
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            net.backward(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < COLUMN_BYTES + TRAIN_SLACK_BYTES
 
 
 class TestCheckpoints:
