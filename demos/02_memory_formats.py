@@ -7,11 +7,10 @@ indexed format.
 """
 
 from sparsenet.memory import (
+    FORMATS,
     MB,
     best_format,
-    bytes_bitmask,
-    bytes_dense,
-    bytes_indexed,
+    format_bytes,
     render_table,
     report_from_counts,
 )
@@ -22,8 +21,8 @@ print(f"{'nnz/N':>8} {'dense':>10} {'bitmask':>10} {'indexed':>10} {'best':>8}")
 for ratio in (1.0, 0.5, 0.2, 0.05, 0.01, 0.001):
     nnz = int(n * ratio)
     fmt, _ = best_format(n, nnz)
-    print(f"{ratio:>8.3f} {bytes_dense(n):>10} {bytes_bitmask(n, nnz):>10} "
-          f"{bytes_indexed(nnz):>10} {fmt:>8}")
+    costs = "".join(f" {format_bytes(f, n, nnz):>10}" for f in FORMATS)
+    print(f"{ratio:>8.3f}{costs} {fmt:>8}")
 
 profile = [
     ("conv1", 96 * 3 * 11 * 11 + 96),
@@ -36,11 +35,11 @@ profile = [
     ("fc8", 4096 * 1000 + 1000),
 ]
 total = sum(n for _, n in profile)
-print(f"\n61M-parameter profile: {total:,} params, dense = {bytes_dense(total)/MB:.1f} MB")
+print(f"\n61M-parameter profile: {total:,} params, dense = {format_bytes('dense', total, 0)/MB:.1f} MB")
 
 sparse_nnz = {"fc6": 3_000_000 + 4096, "fc7": 3_000_000 + 4096, "fc8": 400_000 + 1000}
 sparse_bytes = sum(
-    bytes_indexed(sparse_nnz[name]) if name in sparse_nnz else bytes_dense(count)
+    format_bytes("indexed" if name in sparse_nnz else "dense", count, sparse_nnz.get(name, count))
     for name, count in profile
 )
 print(f"fc layers sparsified + indexed, convs dense = {sparse_bytes/MB:.1f} MB")

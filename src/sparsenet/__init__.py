@@ -18,7 +18,7 @@ from .datasets import (
     subsample,
     subtract_mean,
 )
-from .memory import MemoryReport, bytes_bitmask, bytes_dense, bytes_indexed, report
+from .memory import MemoryReport, report
 from .net import Network, build_cifar_quick, build_lenet_small, build_topology
 from .protocols import (
     EnsembleModel,

@@ -41,18 +41,6 @@ def format_bytes(fmt: str, n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYT
     raise ValueError(f"unknown storage format {fmt!r}")
 
 
-def bytes_dense(n: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    return format_bytes("dense", n, 0, value_bytes)
-
-
-def bytes_bitmask(n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    return format_bytes("bitmask", n, nnz, value_bytes)
-
-
-def bytes_indexed(nnz: int, value_bytes: int = SINGLE_VALUE_BYTES) -> int:
-    return format_bytes("indexed", nnz, nnz, value_bytes)
-
-
 def best_format(n: int, nnz: int, value_bytes: int = SINGLE_VALUE_BYTES):
     """(format name, bytes) of the cheapest format. min keeps the first of
     equal costs, so ties prefer dense, then bitmask, as FORMATS lists them."""

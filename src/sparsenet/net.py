@@ -15,26 +15,20 @@ of Conv2d.block() images, at most layers.COLUMN_BYTES of columns unless
 one image alone is more: a batch keeps its activations and each conv's
 padded input, never its columns.
 
-predict_probs() bounds its whole working set. The layers before the
-first Linear (conv, pool, relu) act on each image alone. They run on
-blocks of B = predict_block() images, the smallest block() of their
-convs. Their outputs must be the same bytes whatever the number of
-images in the call. A conv is one GEMM per block, over n * oh * ow
-columns, so this holds only where the BLAS sums each output in the same
-order at any column count. That is a property of the BLAS kernels for
-each GEMM shape, pinned for every topology conv on the stack that runs
-the suite: tests/test_layers.py (TestConvByteOracle: 1, 7 and 50 images,
-in blocks of 1, 3 and the budget's, against one GEMM per image) and
-tests/test_network.py (TestBoundedPredict: predict_probs at every block
-size against forward() on whole chunks). A Linear's GEMM is not
-bit-stable across its row count, so the block outputs are concatenated
-back into chunks of PREDICT_CHUNK rows (the last one partial) and the
-Linear layers and the softmax run on those chunks.
-The output is then byte for byte that of forward() on each chunk.
+predict_probs() bounds its whole working set. It runs every layer and
+the softmax on blocks of B = predict_block() images, the smallest
+block() of the net's convs, and writes each block's probabilities into
+one output array; a net with no conv runs the whole call as one block.
+The output is byte for byte that of forward() on each block of B images
+(the last one partial), as tests/test_network.py (TestBoundedPredict)
+checks. A Linear's GEMM is not bit-stable across its row count, so an
+image's probabilities may differ in the last bits between a full block
+and a partial one.
 """
 
 import copy
 import logging
+import sys
 
 import numpy as np
 
@@ -43,9 +37,6 @@ from .layers import Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
-
-# rows per predict_probs chunk: the row count every Linear layer sees
-PREDICT_CHUNK = 200
 
 
 class Network:
@@ -127,48 +118,33 @@ class Network:
             grads.append((first.name, first.backward(d, ctxs.pop(), input_grad=False)[1]))
         return dict(reversed(grads))
 
-    def _split(self) -> int:
-        """Index of the first Linear: the layers before it act per image."""
-        return next((i for i, l in enumerate(self.layers) if isinstance(l, Linear)),
-                    len(self.layers))
-
     def predict_block(self) -> int:
-        """Images per block of the per-image layers in predict_probs: the
-        smallest Conv2d.block() among them, walked from the layer shapes."""
+        """Images per predict_probs block: the smallest Conv2d.block() of the
+        net's convs, walked from the layer shapes."""
         _, h, w = self.input_shape
         blocks = []
-        for layer in self.layers[: self._split()]:
+        for layer in self.layers:
             if isinstance(layer, Conv2d):
                 blocks.append(layer.block(h, w, self.dtype.itemsize))
                 h, w = layer.out_hw(h, w)
             elif isinstance(layer, MaxPool2d):
                 h, w = h // layer.window, w // layer.window
-        return min(blocks, default=PREDICT_CHUNK)  # no conv: one block per chunk
+        return min(blocks, default=sys.maxsize)  # no conv: the whole call is one block
 
     def predict_probs(self, images: np.ndarray) -> np.ndarray:
         """Probabilities for a full image array, without keeping any
-        backward context: the per-image layers run in blocks of
-        predict_block() images, the rest on chunks of PREDICT_CHUNK rows
-        (see the module docstring)."""
+        backward context: every layer and the softmax run on blocks of
+        predict_block() images (see the module docstring)."""
         self._check_input(images)
-        if not len(images):  # one column per output of the last layer: the classes
-            return np.empty((0, self.param_layers()[-1].biases.size), self.dtype)
-        split, block = self._split(), self.predict_block()
-        per_image, head = self.layers[:split], self.layers[split:]
-
-        def run(layers, x):
-            for layer in layers:
+        # one column per output of the last layer: the classes
+        probs = np.empty((len(images), self.param_layers()[-1].biases.size), self.dtype)
+        block = self.predict_block()
+        for i in range(0, len(images), block):
+            x = np.ascontiguousarray(images[i : i + block], dtype=self.dtype)
+            for layer in self.layers:
                 x = layer.forward(x)[0]  # the context is dropped here
-            return x
-
-        chunks = []
-        for i in range(0, len(images), PREDICT_CHUNK):
-            chunk = images[i : i + PREDICT_CHUNK]
-            features = np.concatenate([
-                run(per_image, np.ascontiguousarray(chunk[j : j + block], dtype=self.dtype))
-                for j in range(0, len(chunk), block)])
-            chunks.append(self.loss_layer.forward(run(head, features)))
-        return np.concatenate(chunks)
+            probs[i : i + block] = self.loss_layer.forward(x)
+        return probs
 
     def clone(self) -> "Network":
         return copy.deepcopy(self)

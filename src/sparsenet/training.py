@@ -12,6 +12,7 @@ iteration, loss, reg_term, train_acc, test_acc, then one nnz column per
 parameterized layer.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,8 @@ from .regularizers import (
     within_l0_cap,
 )
 from .seeding import rng_for
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,8 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
     Minibatches are drawn as shuffled epochs without replacement (partial
     final batches are dropped and the epoch reshuffled). Each iteration:
     forward/backward on the batch, fold l2 decay into the gradients,
-    momentum step, then the per-layer regularization update.
+    momentum step, then the per-layer regularization update. A layer
+    whose weights are all zero at the end is logged as a warning.
     """
     n = len(dataset)
     if n < cfg.batch_size:
@@ -195,6 +199,8 @@ def train(net, dataset, cfg: TrainConfig, reg_specs=None, test_data=None):
             if iteration == cfg.max_iterations:
                 for layer in param_layers:
                     finalize_regularization(layer, specs[layer.name], iteration)
+                    if not layer.weights.any():
+                        log.warning("%s ends training with every weight at zero", layer.name)
             record(iteration, batch_loss)
 
     return net, metrics

@@ -5,9 +5,6 @@ from sparsenet import memory
 from sparsenet.memory import (
     MB,
     best_format,
-    bytes_bitmask,
-    bytes_dense,
-    bytes_indexed,
     format_bytes,
     render_table,
     report,
@@ -34,48 +31,48 @@ IMAGENET_PROFILE = {
 
 class TestFormulas:
     def test_reference_point(self):
-        assert bytes_dense(1000) == 4000
-        assert bytes_bitmask(1000, 100) == 525
-        assert bytes_indexed(100) == 800
+        assert format_bytes("dense", 1000, 0) == 4000
+        assert format_bytes("bitmask", 1000, 100) == 525
+        assert format_bytes("indexed", 100, 100) == 800
         assert best_format(1000, 100) == ("bitmask", 525)
 
     def test_fully_dense_layer_prefers_dense(self):
         for n in (1, 8, 9, 1000):
             fmt, cost = best_format(n, n)
             assert fmt == "dense"
-            assert cost <= bytes_bitmask(n, n)
-            assert cost <= bytes_indexed(n)
+            assert cost <= format_bytes("bitmask", n, n)
+            assert cost <= format_bytes("indexed", n, n)
 
     def test_nnz_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
-            bytes_bitmask(10, 11)
+            format_bytes("bitmask", 10, 11)
 
     def test_monotone_in_nnz(self):
         n = 4096
-        bitmask = [bytes_bitmask(n, k) for k in range(0, n + 1, 64)]
-        indexed = [bytes_indexed(k) for k in range(0, n + 1, 64)]
+        bitmask = [format_bytes("bitmask", n, k) for k in range(0, n + 1, 64)]
+        indexed = [format_bytes("indexed", k, k) for k in range(0, n + 1, 64)]
         assert all(a <= b for a, b in zip(bitmask, bitmask[1:]))
         assert all(a <= b for a, b in zip(indexed, indexed[1:]))
 
     def test_indexed_vs_dense_crossover(self):
         # indexed beats dense exactly when 8*nnz < 4*N, i.e. nnz/N < 1/2
         n = 1024
-        assert bytes_indexed(n // 2 - 1) < bytes_dense(n)
-        assert bytes_indexed(n // 2) == bytes_dense(n)
+        assert format_bytes("indexed", n // 2 - 1, n // 2 - 1) < format_bytes("dense", n, 0)
+        assert format_bytes("indexed", n // 2, n // 2) == format_bytes("dense", n, 0)
 
     def test_bitmask_vs_indexed_crossover(self):
         # bitmask beats indexed exactly when ceil(N/8) < 4*nnz
         n = 1024
         for nnz in range(0, 200):
             expect = (n + 7) // 8 < 4 * nnz
-            assert (bytes_bitmask(n, nnz) < bytes_indexed(nnz)) == expect
+            assert (format_bytes("bitmask", n, nnz) < format_bytes("indexed", nnz, nnz)) == expect
 
     @pytest.mark.parametrize("call", [
         lambda: format_bytes("dense", -1, 0),
         lambda: format_bytes("bitmask", 10, -1),
         lambda: format_bytes("indexed", 10, 11),
         lambda: format_bytes("csr", 10, 1),
-        lambda: bytes_indexed(-1),
+        lambda: format_bytes("indexed", -1, -1),
     ], ids=["negative_n", "negative_nnz", "nnz_above_n", "unknown_format", "indexed_negative"])
     def test_bad_counts_and_formats_rejected(self, call):
         with pytest.raises(ValueError):
@@ -83,8 +80,8 @@ class TestFormulas:
 
     def test_best_format_ties_follow_format_order(self):
         # 31 of 32: dense 128 == bitmask 4 + 124; 1 of 32: bitmask 4 + 4 == indexed 8
-        assert best_format(32, 31) == ("dense", 128) == ("dense", bytes_bitmask(32, 31))
-        assert best_format(32, 1) == ("bitmask", 8) == ("bitmask", bytes_indexed(1))
+        assert best_format(32, 31) == ("dense", 128) == ("dense", format_bytes("bitmask", 32, 31))
+        assert best_format(32, 1) == ("bitmask", 8) == ("bitmask", format_bytes("indexed", 1, 1))
         for n in range(0, 65):
             for nnz in range(n + 1):
                 costs = [format_bytes(f, n, nnz) for f in memory.FORMATS]
@@ -93,20 +90,20 @@ class TestFormulas:
                 assert fmt == memory.FORMATS[costs.index(cost)]
 
     def test_double_precision_mode(self):
-        assert bytes_dense(10, value_bytes=8) == 80
-        assert bytes_bitmask(16, 2, value_bytes=8) == 2 + 16
-        assert bytes_indexed(3, value_bytes=8) == 36
+        assert format_bytes("dense", 10, 0, value_bytes=8) == 80
+        assert format_bytes("bitmask", 16, 2, value_bytes=8) == 2 + 16
+        assert format_bytes("indexed", 3, 3, value_bytes=8) == 36
 
 
 class TestPublishedSizes:
     def test_dense_61m_is_233mb(self):
-        mb = bytes_dense(61_000_000) / MB
+        mb = format_bytes("dense", 61_000_000, 0) / MB
         assert abs(mb - 233.0) < 1.0
 
     def test_profile_dense_total(self):
         total = sum(IMAGENET_PROFILE.values())
         assert total == 60_965_224
-        assert abs(bytes_dense(total) / MB - 233.0) < 1.0
+        assert abs(format_bytes("dense", total, 0) / MB - 233.0) < 1.0
 
     def test_sparse_profile_indexed_is_58mb(self):
         # fc layers sparsified (400k nonzeros in fc8, 3M in each of fc6/fc7)
@@ -115,9 +112,9 @@ class TestPublishedSizes:
         total = 0
         for name, n in IMAGENET_PROFILE.items():
             if name in sparse_fc:
-                total += bytes_indexed(sparse_fc[name])
+                total += format_bytes("indexed", sparse_fc[name], sparse_fc[name])
             else:
-                total += bytes_dense(n)
+                total += format_bytes("dense", n, 0)
         assert abs(total / MB - 58.0) < 1.0
         # "all but 14% of the weights set to zero"
         nnz = sum(sparse_fc.values()) + sum(

@@ -22,7 +22,6 @@ from sparsenet.errors import CheckpointError, ShapeError
 from sparsenet.layers import COLUMN_BYTES, Conv2d, Linear, MaxPool2d, ReLU, SoftmaxCrossEntropy
 from sparsenet.memory import format_bytes, report
 from sparsenet.net import (
-    PREDICT_CHUNK,
     Network,
     build_cifar_quick,
     build_lenet_small,
@@ -264,16 +263,15 @@ class TestNoActivationState:
 
 
 # what predict_probs may hold beside its largest column buffer: that conv's
-# input, its GEMM product and biased sum, and the finished feature rows of
-# the current chunk (measured at a 16 MiB budget: 4.2 MB on cifar_quick,
-# 5.5 MB on lenet_small)
+# input, its GEMM product and biased sum, and the output array (measured
+# at a 16 MiB budget: 2.6 MB on cifar_quick, 4.9 MB on lenet_small)
 PREDICT_SLACK_BYTES = 8 * 2**20
 
 
 @pytest.mark.parametrize("topology", ["lenet_small", "cifar_quick"])
 class TestBoundedPredict:
-    """predict_probs runs the per-image layers in blocks of predict_block()
-    images and gives the bytes of a plain loop of forward() over chunks."""
+    """predict_probs runs every layer in blocks of predict_block() images
+    and gives the bytes of a plain loop of forward() over those blocks."""
 
     def _setup(self, topology, n=450):
         net = build_topology(topology, seed=4)
@@ -282,7 +280,7 @@ class TestBoundedPredict:
         images = rng_for(4, "bounded-predict").standard_normal((n, *net.input_shape))
         return net, images.astype(np.float32)
 
-    def test_equals_chunked_forward(self, topology, monkeypatch):
+    def test_equals_blocked_forward(self, topology, monkeypatch):
         net, images = self._setup(topology)
         seen = []
 
@@ -296,13 +294,13 @@ class TestBoundedPredict:
         net.predict_probs(images[:1])
         per_image = max(seen)  # the largest column buffer of one image
         b = net.predict_block()
-        assert b == COLUMN_BYTES // per_image and 1 < b < PREDICT_CHUNK
-        for n in (1, b - 1, b, b + 1, 199, 200, 201, 450):
+        assert b == COLUMN_BYTES // per_image and 1 < b < len(images)
+        for n in (1, b - 1, b, b + 1, 2 * b + 1, 450):
             seen.clear()
             probs = net.predict_probs(images[:n])
             assert max(seen) == min(n, b) * per_image <= COLUMN_BYTES
-            expect = np.concatenate([net.forward(images[i : min(i + PREDICT_CHUNK, n)])
-                                     for i in range(0, n, PREDICT_CHUNK)])
+            expect = np.concatenate([net.forward(images[i : min(i + b, n)])
+                                     for i in range(0, n, b)])
             assert probs.dtype == expect.dtype and probs.shape == expect.shape
             assert probs.tobytes() == expect.tobytes(), n
 
@@ -321,6 +319,17 @@ class TestBoundedPredict:
         net, images = self._setup(topology, n=0)
         probs = net.predict_probs(images)
         assert probs.shape == (0, 10) and probs.dtype == net.dtype
+
+
+def test_predict_probs_without_conv_is_one_forward():
+    """With no conv to bound a block, predict_probs runs the whole call as
+    one block: the bytes of one forward() over every image."""
+    rng = rng_for(5, "predict-no-conv")
+    stack = [Linear("f1", 64, 32, init_std=0.5, rng=rng), ReLU(),
+             Linear("f2", 32, 10, init_std=0.5, rng=rng)]
+    net = Network(stack, SoftmaxCrossEntropy(), "mlp", (1, 8, 8))
+    images = rng.standard_normal((450, 1, 8, 8)).astype(np.float32)
+    assert net.predict_probs(images).tobytes() == net.forward(images).tobytes()
 
 
 # what one cifar_quick forward plus backward at batch 50 may hold beside a

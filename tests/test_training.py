@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import numpy.testing as npt
@@ -71,6 +72,17 @@ class TestSgdUpdate:
         npt.assert_allclose(w, [-0.1])
         sgd_update(w, g, v, lr=0.1, momentum=0.5)
         npt.assert_allclose(w, [-0.1 - 0.15])
+
+
+def test_warns_when_a_layer_ends_all_zero(caplog):
+    train_d = small_data()
+    spec = RegSpec(kind="l1_shrinkage", strength=10.0, fixed_delta=True)
+    cfg = TrainConfig(batch_size=20, learning_rate=0.01, max_iterations=1)
+    with caplog.at_level(logging.WARNING, logger="sparsenet.training"):
+        net, _ = train(small_net(), train_d, cfg, {"fc1": spec})
+    assert not net.layer("fc1").weights.any() and net.layer("conv1").weights.any()
+    assert [r.getMessage() for r in caplog.records] == [
+        "fc1 ends training with every weight at zero"]
 
 
 class TestSchedule:
